@@ -156,10 +156,13 @@ def enumerate_quadric_points(
             return
         inner = sum(lmat[i][j] * z[j] for j in range(i + 1, k))
         c_i = center[i] - inner
-        # |y_i - c_i| <= sqrt(rem / d_i); float bound with exact filtering.
-        bound = math.sqrt(float(rem / d[i])) if rem > 0 else 0.0
-        lo = math.floor(float(c_i) - bound) - 1
-        hi = math.ceil(float(c_i) + bound) + 1
+        # |y_i - c_i| <= sqrt(rem / d_i) < bound + 1 for the exact
+        # bound = floor(sqrt(p / r)) = isqrt(p * r) // r, where rem / d_i = p / r;
+        # so floor(c_i) - bound <= y_i <= ceil(c_i) + bound, filtered below.
+        q = rem / d[i]
+        bound = math.isqrt(q.numerator * q.denominator) // q.denominator
+        lo = math.floor(c_i) - bound
+        hi = math.ceil(c_i) + bound
         for y_i in range(lo, hi + 1):
             zi = y_i - center[i]
             term = d[i] * (zi + inner) ** 2

@@ -11,7 +11,8 @@ inequality at every ample step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from ._intlinalg import (
@@ -26,6 +27,8 @@ from ._intlinalg import (
 from .numerics import chi_criterion_holds
 
 Divisor = tuple[int, ...]
+
+_RANK_MISMATCH = "divisor length does not match the Picard rank"
 
 
 class DelPezzoError(ValueError):
@@ -48,6 +51,22 @@ class NotConjugationFixedError(DelPezzoError):
     pass
 
 
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _nonzero_entries(m: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], ...]:
+    return tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+
+
+def _apply_entries(entries: tuple[tuple[int, int, int], ...], n: int, d: Sequence[int]) -> Divisor:
+    """The matrix with the given nonzero entries applied to d."""
+    out = [0] * n
+    for i, j, x in entries:
+        out[i] += x * d[j]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """A del Pezzo surface as a marked lattice with a real structure.
@@ -55,6 +74,12 @@ class SurfaceModel:
     gram is the intersection form on the Picard lattice over C, K the
     canonical class, tau the conjugation involution (as a matrix acting on
     coefficient vectors).  chiO = 1 for every del Pezzo surface.
+
+    What the del Pezzo layer derives from the lattice (the sparse form and
+    involution, the real curves and conic bundles, the pairing rows of -K,
+    the cone generators and the (-1)-curves, the classes of the ample step)
+    is computed on first use and kept on the model, so it lives exactly as
+    long as the model does.
     """
 
     name: str
@@ -65,27 +90,89 @@ class SurfaceModel:
     tau: tuple[tuple[int, ...], ...]
     chiO: int = 1
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.K)
 
-    @property
+    @cached_property
     def minus_K(self) -> Divisor:
         return tuple(-x for x in self.K)
 
+    @cached_property
+    def _gram_entries(self) -> tuple[tuple[int, int, int], ...]:
+        return _nonzero_entries(self.gram)
+
+    @cached_property
+    def _tau_entries(self) -> tuple[tuple[int, int, int], ...]:
+        return _nonzero_entries(self.tau)
+
     def intersect(self, d1: Sequence[int], d2: Sequence[int]) -> int:
-        if len(d1) != self.rank or len(d2) != self.rank:
-            raise DelPezzoError("divisor length does not match the Picard rank")
-        g = self.gram
-        return sum(d1[i] * g[i][j] * d2[j] for i in range(self.rank) for j in range(self.rank))
+        n = self.rank
+        if len(d1) != n or len(d2) != n:
+            raise DelPezzoError(_RANK_MISMATCH)
+        return sum([x * d1[i] * d2[j] for i, j, x in self._gram_entries])
+
+    def pairing_row(self, d: Sequence[int]) -> Divisor:
+        """G.d, so that D.d is the plain dot product of D with the row."""
+        return _apply_entries(self._gram_entries, self.rank, d)
 
     def tau_image(self, d: Sequence[int]) -> Divisor:
         if len(d) != self.rank:
-            raise DelPezzoError("divisor length does not match the Picard rank")
-        return mat_vec(self.tau, d)
+            raise DelPezzoError(_RANK_MISMATCH)
+        return _apply_entries(self._tau_entries, self.rank, d)
 
     def is_real(self, d: Sequence[int]) -> bool:
         return self.tau_image(d) == tuple(d)
+
+    @cached_property
+    def _minus_K_row(self) -> Divisor:
+        return self.pairing_row(self.minus_K)
+
+    @cached_property
+    def _cone(self) -> tuple[tuple[Divisor, ...], tuple[Divisor, ...]]:
+        """The extremal test classes of the cone of curves and their pairing rows."""
+        gens = tuple(sorted(set(minus_one_curves(self)) | set(conic_bundle_classes(self))))
+        if not gens:
+            gens = (_primitive(self.minus_K),)
+        return gens, tuple(self.pairing_row(c) for c in gens)
+
+    @cached_property
+    def _real_negative_curves(self) -> tuple[tuple[Divisor, ...], tuple[tuple[Divisor, Divisor], ...]]:
+        reals = []
+        pairs = []
+        for c in minus_one_curves(self):
+            tc = self.tau_image(c)
+            if tc == c:
+                reals.append(c)
+            elif c < tc and self.intersect(c, tc) == 0:
+                pairs.append((c, tc))
+        return tuple(reals), tuple(pairs)
+
+    @cached_property
+    def _subtractions(self) -> tuple[tuple[Divisor, Optional[tuple[Divisor, ...]]], ...]:
+        """For each (-1)-curve C in sorted order: its pairing row and the class
+        a non-nef divisor meeting C negatively loses (C when C is real, C and
+        its conjugate when they are disjoint, None when they meet)."""
+        out = []
+        for c in minus_one_curves(self):
+            tc = self.tau_image(c)
+            if tc == c:
+                witness: Optional[tuple[Divisor, ...]] = (c,)
+            elif self.intersect(c, tc) == 0:
+                witness = (c, tc)
+            else:
+                witness = None
+            out.append((self.pairing_row(c), witness))
+        return tuple(out)
+
+    @cached_property
+    def _ample_step_classes(self) -> tuple[Divisor, Divisor, Divisor, bool, bool]:
+        return _ample_step_classes(self)
+
+    @cached_property
+    def _conic_bundles_real(self) -> tuple[ConicBundle, ...]:
+        kind = interval_kind(self.name)
+        return tuple(ConicBundle(b, kind) for b in conic_bundle_classes(self) if self.tau_image(b) == b)
 
     @property
     def extremal_curves(self) -> tuple[Divisor, ...]:
@@ -282,7 +369,12 @@ def catalogue() -> list[SurfaceModel]:
 # -- class enumeration ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+#: Class enumerations kept per process, keyed by the lattice (catalogued
+#: surfaces of one family share it) and the two pairings.
+_CLASS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _classes(gram: tuple, kvec: Divisor, square: int, kdot: int) -> tuple[Divisor, ...]:
     return tuple(solve_quadratic_lattice(gram, kvec, square, kdot))
 
@@ -304,15 +396,7 @@ def real_negative_curves(
     s: SurfaceModel,
 ) -> tuple[tuple[Divisor, ...], tuple[tuple[Divisor, Divisor], ...]]:
     """Conjugation-fixed (-1)-curves and disjoint conjugate pairs."""
-    reals = []
-    pairs = []
-    for c in minus_one_curves(s):
-        tc = s.tau_image(c)
-        if tc == c:
-            reals.append(c)
-        elif c < tc and s.intersect(c, tc) == 0:
-            pairs.append((c, tc))
-    return tuple(reals), tuple(pairs)
+    return s._real_negative_curves
 
 
 _TWO_INTERVAL_SURFACES = frozenset({"D", "D(1,0)"})
@@ -337,10 +421,7 @@ class ConicBundle:
 
 def conic_bundles_real(s: SurfaceModel) -> tuple[ConicBundle, ...]:
     """Conjugation-fixed conic bundles, tagged with their interval kind."""
-    kind = interval_kind(s.name)
-    return tuple(
-        ConicBundle(b, kind) for b in conic_bundle_classes(s) if s.tau_image(b) == b
-    )
+    return s._conic_bundles_real
 
 
 def _primitive(d: Divisor) -> Divisor:
@@ -352,26 +433,26 @@ def _primitive(d: Divisor) -> Divisor:
     return tuple(x // g for x in d) if g > 1 else d
 
 
-@lru_cache(maxsize=None)
 def cone_generators(s: SurfaceModel) -> tuple[Divisor, ...]:
     """Extremal test classes for nefness: the (-1)-curves plus the conic
     bundle classes, or the primitive anticanonical ray on the plane itself."""
-    gens = tuple(sorted(set(minus_one_curves(s)) | set(conic_bundle_classes(s))))
-    if not gens:
-        gens = (_primitive(s.minus_K),)
-    return gens
+    return s._cone[0]
 
 
 def is_nef(s: SurfaceModel, d: Sequence[int]) -> bool:
     d = tuple(d)
-    return all(s.intersect(d, c) >= 0 for c in cone_generators(s))
+    if len(d) != s.rank:
+        raise DelPezzoError(_RANK_MISMATCH)
+    # _dot inlined here and in is_ample: these run once per cone generator
+    # at every step of a walk
+    return all(sum(map(mul, row, d)) >= 0 for row in s._cone[1])
 
 
 def is_ample(s: SurfaceModel, d: Sequence[int]) -> bool:
     d = tuple(d)
     if s.intersect(d, d) <= 0:
         return False
-    return all(s.intersect(d, c) > 0 for c in cone_generators(s))
+    return all(sum(map(mul, row, d)) > 0 for row in s._cone[1])
 
 
 def chi(s: SurfaceModel, d: Sequence[int]) -> int:
@@ -400,6 +481,21 @@ def _vec_add(a: Sequence[int], b: Sequence[int]) -> Divisor:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _negative_curve_witness(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divisor, ...]]:
+    """What a real divisor that is not nef loses next.
+
+    The lexicographically smallest (-1)-curve meeting d negatively, with its
+    conjugate when the two are distinct and disjoint.  None when no
+    (-1)-curve meets d negatively (d is negative on a conic bundle or ruling)
+    or when that curve meets its conjugate (C + tau(C) is then a nef conic
+    bundle pairing negatively with d); either way d is not effective.
+    """
+    for row, witness in s._subtractions:
+        if _dot(row, d) < 0:
+            return witness
+    return None
+
+
 def reduce_to_nef(s: SurfaceModel, d: Sequence[int]) -> ReduceResult:
     """Strip negative curves off a real divisor until it is nef.
 
@@ -413,28 +509,17 @@ def reduce_to_nef(s: SurfaceModel, d: Sequence[int]) -> ReduceResult:
     if not s.is_real(cur):
         raise NotConjugationFixedError("not conjugation-fixed")
     subtracted: list[Divisor] = []
-    minus_k = s.minus_K
     while True:
-        if s.intersect(minus_k, cur) < 0:
+        if _dot(s._minus_K_row, cur) < 0:
             return ReduceResult(cur, tuple(subtracted), False)
-        negs = [c for c in minus_one_curves(s) if s.intersect(cur, c) < 0]
-        if not negs:
-            if is_nef(s, cur):
-                return ReduceResult(cur, tuple(subtracted), True)
-            # negative against a conic bundle or ruling: not effective
+        if is_nef(s, cur):
+            return ReduceResult(cur, tuple(subtracted), True)
+        witness = _negative_curve_witness(s, cur)
+        if witness is None:
             return ReduceResult(cur, tuple(subtracted), False)
-        c = min(negs)
-        tc = s.tau_image(c)
-        if tc == c:
-            subtracted.append(c)
-            cur = _vec_sub(cur, c)
-        elif s.intersect(c, tc) == 0:
-            subtracted.append(c)
-            subtracted.append(tc)
-            cur = _vec_sub(_vec_sub(cur, c), tc)
-        else:
-            # C + tau(C) is a nef conic bundle pairing negatively with cur
-            return ReduceResult(cur, tuple(subtracted), False)
+        for w in witness:
+            subtracted.append(w)
+            cur = _vec_sub(cur, w)
 
 
 # -- ample step ----------------------------------------------------------------
@@ -451,23 +536,12 @@ def _scaled(d: Sequence[int], k: int) -> Divisor:
     return tuple(k * x for x in d)
 
 
-def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
-    """One transfer step off an ample divisor.
+def _ample_step_classes(s: SurfaceModel) -> tuple[Divisor, Divisor, Divisor, bool, bool]:
+    """The classes C, N, M of every ample step on s, with the nefness of N and M.
 
-    The subtracted class C is a real (-1)-curve when the surface has one
-    (degree at most 7), else a real conic bundle; the plane and the minimal
-    degree-8 surfaces use their hard-coded minimal ample decompositions.
-    The residual E = D - C is nef, and the verification record checks the
-    Euler-characteristic inequality chi(2E) > chi(-D-E) plus nefness of the
-    auxiliary classes.
+    They depend on the surface only; the model keeps them.
     """
-    cur = tuple(d)
-    if not s.is_real(cur):
-        raise NotConjugationFixedError("not conjugation-fixed")
-    if not is_ample(s, cur):
-        raise DelPezzoError("ample_step requires an ample divisor")
-    n = s.rank
-    zero = (0,) * n
+    zero = (0,) * s.rank
     minus_k = s.minus_K
     if s.degree == 9:
         c = _primitive(minus_k)
@@ -495,6 +569,25 @@ def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
             c = min(b.cls for b in bundles)
         nvec = _vec_sub(minus_k, c)
         mvec = nvec
+    return c, nvec, mvec, is_nef(s, nvec), is_nef(s, mvec)
+
+
+def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
+    """One transfer step off an ample divisor.
+
+    The subtracted class C is a real (-1)-curve when the surface has one
+    (degree at most 7), else a real conic bundle; the plane and the minimal
+    degree-8 surfaces use their hard-coded minimal ample decompositions.
+    The residual E = D - C is nef, and the verification record checks the
+    Euler-characteristic inequality chi(2E) > chi(-D-E) plus nefness of the
+    auxiliary classes.
+    """
+    cur = tuple(d)
+    if not s.is_real(cur):
+        raise NotConjugationFixedError("not conjugation-fixed")
+    if not is_ample(s, cur):
+        raise DelPezzoError("ample_step requires an ample divisor")
+    c, nvec, mvec, nef_n, nef_m = s._ample_step_classes
     evec = _vec_sub(cur, c)
     two_e = _scaled(evec, 2)
     chi_2e = chi(s, two_e)
@@ -509,8 +602,8 @@ def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
         "N": nvec,
         "M": mvec,
         "nef_E": is_nef(s, evec),
-        "nef_N": is_nef(s, nvec),
-        "nef_M": is_nef(s, mvec),
+        "nef_N": nef_n,
+        "nef_M": nef_m,
         "two_E_dot_M": s.intersect(two_e, mvec),
         "chi_2E": chi_2e,
         "chi_minus_D_minus_E": chi_minus_de,
@@ -552,48 +645,75 @@ def _find_marked_isometry(
     dst: SurfaceModel,
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """A lattice isomorphism onto dst matching form, canonical class, and
-    involution; returned as a matrix sending source coordinates to dst."""
+    involution; returned as a matrix sending source coordinates to dst.
+
+    Depth-first over the source basis vectors, fewest candidate images
+    first, each candidate list in sorted order.  Choosing an image v for
+    basis vector i filters every later candidate list down to the classes w
+    with v.w = gram_s[i][j] (forward checking), and a choice that empties a
+    list is dropped at once.  The pruned branches hold no isometry, so the
+    search returns the same first isometry as plain backtracking.
+    """
     n = len(k_s)
     if n != dst.rank:
         return None
     gk = [sum(gram_s[i][j] * k_s[j] for j in range(n)) for i in range(n)]
     cands = []
     for i in range(n):
-        cands.append(_classes(dst.gram, dst.K, gram_s[i][i], gk[i]))
-        if not cands[i]:
+        classes = _classes(dst.gram, dst.K, gram_s[i][i], gk[i])
+        if not classes:
             return None
+        cands.append([(v, dst.pairing_row(v)) for v in classes])
     order = sorted(range(n), key=lambda i: len(cands[i]))
-    images: dict[int, Divisor] = {}
+    images: list[Divisor] = [()] * n  # images[i] is column i of the matrix
+    k_terms = [(i, x) for i, x in enumerate(k_s) if x]
+    tau_cols = [[(i, tau_s[i][j]) for i in range(n) if tau_s[i][j]] for j in range(n)]
 
-    def ok_pairwise(i: int, v: Divisor) -> bool:
-        for j, w in images.items():
-            if dst.intersect(v, w) != gram_s[i][j]:
-                return False
-        return True
+    def combination(terms: list[tuple[int, int]]) -> Divisor:
+        out = [0] * n
+        for i, x in terms:
+            for t, y in enumerate(images[i]):
+                out[t] += x * y
+        return tuple(out)
 
-    def backtrack(pos: int) -> Optional[tuple[tuple[int, ...], ...]]:
+    def leaf() -> Optional[tuple[tuple[int, ...], ...]]:
+        # M K_s = K_dst, and M tau_s = tau_dst M column by column
+        if combination(k_terms) != dst.K:
+            return None
+        for j, terms in enumerate(tau_cols):
+            if combination(terms) != dst.tau_image(images[j]):
+                return None
+        return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
+
+    def search(pos: int, domains: list) -> Optional[tuple[tuple[int, ...], ...]]:
+        # domains[t] holds the candidates of order[pos + t] that pair right
+        # with every image chosen so far
         if pos == n:
-            cols = [images[i] for i in range(n)]
-            m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-            if mat_vec(m, k_s) != dst.K:
-                return None
-            if mat_mul(m, tau_s) != mat_mul(dst.tau, m):
-                return None
-            return m
+            return leaf()
         i = order[pos]
-        for v in cands[i]:
-            if ok_pairwise(i, v):
+        later = order[pos + 1 :]
+        for v, row in domains[0]:
+            rest = []
+            for j, dom in zip(later, domains[1:]):
+                need = gram_s[i][j]
+                dom = [(w, wrow) for w, wrow in dom if _dot(row, w) == need]
+                if not dom:
+                    break
+                rest.append(dom)
+            else:
                 images[i] = v
-                res = backtrack(pos + 1)
-                if res is not None:
-                    return res
-                del images[i]
+                m = search(pos + 1, rest)
+                if m is not None:
+                    return m
         return None
 
-    return backtrack(0)
+    return search(0, [cands[i] for i in order])
 
 
-_contraction_cache: dict[tuple, Contraction] = {}
+#: Contractions kept per process: more than the catalogue's contractible
+#: curves and conjugate pairs (a pair in either order), so only contractions
+#: of non-catalogued sources can evict one.
+_CONTRACTION_CACHE_SIZE = 512
 
 
 def contract_along(s: SurfaceModel, curves) -> Contraction:
@@ -608,9 +728,11 @@ def contract_along(s: SurfaceModel, curves) -> Contraction:
         curve_list = (tuple(curves),)
     else:
         curve_list = tuple(tuple(c) for c in curves)
-    key = (s.name, curve_list)
-    if key in _contraction_cache:
-        return _contraction_cache[key]
+    return _contract(s, curve_list)
+
+
+@lru_cache(maxsize=_CONTRACTION_CACHE_SIZE)
+def _contract(s: SurfaceModel, curve_list: tuple[Divisor, ...]) -> Contraction:
     for c in curve_list:
         if s.intersect(c, c) != -1 or s.intersect(s.K, c) != -1:
             raise NotContractibleError(f"{c} is not a (-1)-class")
@@ -625,8 +747,7 @@ def contract_along(s: SurfaceModel, curves) -> Contraction:
     else:
         raise NotContractibleError("contract one real curve or one conjugate pair")
     n = s.rank
-    rows = [tuple(sum(s.gram[i][j] * c[j] for j in range(n)) for i in range(n)) for c in curve_list]
-    basis = kernel_basis(rows, n)
+    basis = kernel_basis([s.pairing_row(c) for c in curve_list], n)
     k = len(basis)
     gram2 = tuple(
         tuple(s.intersect(basis[i], basis[j]) for j in range(k)) for i in range(k)
@@ -645,19 +766,18 @@ def contract_along(s: SurfaceModel, curves) -> Contraction:
         tau_cols.append(img)
     tau2 = tuple(tuple(tau_cols[j][i] for j in range(k)) for i in range(k))
     degree2 = sum(k2[i] * gram2[i][j] * k2[j] for i in range(k) for j in range(k))
-    # identify the catalogued target, preferring rows with matching counts
-    derived = SurfaceModel("?", degree2, ("?",) * k, gram2, k2, tau2)
-    reals2, _ = real_negative_curves(derived)
-    rho2 = derived.real_rank
+    # identify the catalogued target, preferring rows with matching counts;
+    # the (-1)-classes of the image are those of s orthogonal to the curves
+    rho2 = SurfaceModel("?", degree2, ("?",) * k, gram2, k2, tau2).real_rank
+    reals, _ = real_negative_curves(s)
+    n_reals2 = sum(1 for r in reals if all(s.intersect(r, c) == 0 for c in curve_list))
     candidates = [row for row in CATALOGUE_TABLE if row[1] == degree2]
-    candidates.sort(key=lambda row: (row[2] != rho2, row[3] != len(reals2)))
+    candidates.sort(key=lambda row: (row[2] != rho2, row[3] != n_reals2))
     for row in candidates:
         target = surface_from_name(row[0])
         m = _find_marked_isometry(gram2, k2, tau2, target)
         if m is not None:
-            contraction = Contraction(s, target, curve_list, tuple(basis), m)
-            _contraction_cache[key] = contraction
-            return contraction
+            return Contraction(s, target, curve_list, tuple(basis), m)
     raise DelPezzoError(f"no catalogued target of degree {degree2} matches the contraction")
 
 
@@ -705,7 +825,7 @@ def certificate_kind(name: str) -> str:
 
 
 def _conic_multiple(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divisor, int]]:
-    pairing = s.intersect(s.minus_K, d)
+    pairing = _dot(s._minus_K_row, d)
     if pairing <= 0 or pairing % 2 != 0:
         return None
     c = pairing // 2
@@ -728,7 +848,7 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     """
     cur = tuple(d)
     if len(cur) != s.rank:
-        raise DelPezzoError("divisor length does not match the Picard rank")
+        raise DelPezzoError(_RANK_MISMATCH)
     if not s.is_real(cur):
         raise NotConjugationFixedError("not conjugation-fixed")
     surf = s
@@ -737,7 +857,7 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     terminal_kind: Optional[str] = None
     zero = lambda: (0,) * surf.rank
     for _ in range(10_000):
-        mk_pairing = surf.intersect(surf.minus_K, cur)
+        mk_pairing = _dot(surf._minus_K_row, cur)
         if mk_pairing < 0:
             raise NotEffectiveError("not effective")
         if cur == zero():
@@ -749,16 +869,8 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
             terminal_kind = "zero"
             break
         if not is_nef(surf, cur):
-            negs = [c for c in minus_one_curves(surf) if surf.intersect(cur, c) < 0]
-            if not negs:
-                raise NotEffectiveError("not effective")
-            c = min(negs)
-            tc = surf.tau_image(c)
-            if tc == c:
-                witness: tuple[Divisor, ...] = (c,)
-            elif surf.intersect(c, tc) == 0:
-                witness = (c, tc)
-            else:
+            witness = _negative_curve_witness(surf, cur)
+            if witness is None:
                 raise NotEffectiveError("not effective")
             nxt = cur
             for w in witness:

@@ -68,7 +68,7 @@ def conjugation_invariant_length_bound(dim_r1: int, dim_r2: int) -> int:
 
 
 def chain_total_degree(step_degrees: Iterable[int]) -> int:
-    """Total degree of a chained multiplier, the product of the per-step ones."""
+    """Total degree of a chained multiplier, the sum of the per-step ones."""
     total = 0
     for deg in step_degrees:
         if deg < 0:

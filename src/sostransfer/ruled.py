@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -135,12 +136,10 @@ def descent_margin(data: RuledData, d: int, m: int) -> int:
 
 def minimal_transfer_s(data: RuledData) -> int:
     """Smallest positive integer s with s * (-K.H) > H.(H+K)."""
-    s = 1
-    while s * data.minusK_dot_H <= data.H_dot_HplusK:
-        s += 1
-    return s
+    return max(1, data.H_dot_HplusK // data.minusK_dot_H + 1)
 
 
+@lru_cache(maxsize=64)
 def minimal_transfer_t(s: int) -> int:
     """Smallest t with 1/2 + ... + 1/(t+1) > 2(1 + sqrt(s)), exactly.
 

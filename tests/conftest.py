@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 
+from sostransfer._intlinalg import mat_mul, mat_vec, solve_quadratic_lattice
 from sostransfer.lattice import LatticePolygon, dilate
 
 
@@ -225,3 +229,83 @@ def structured_oracle_pairs(rng: random.Random, count: int):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# -- del Pezzo oracles -----------------------------------------------------------
+
+
+def dense_intersect(s, d1, d2) -> int:
+    """D1.D2 as the full double sum over the Gram matrix."""
+    if len(d1) != len(s.K) or len(d2) != len(s.K):
+        raise ValueError("divisor length does not match the Picard rank")
+    return sum(a * sum(map(mul, row, d2)) for a, row in zip(d1, s.gram))
+
+
+def dense_tau_image(s, d) -> tuple[int, ...]:
+    """The involution applied to d as a dense matrix-vector product."""
+    n = len(s.K)
+    return tuple(sum(s.tau[i][j] * d[j] for j in range(n)) for i in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_classes(gram, kvec, square, kdot):
+    return tuple(solve_quadratic_lattice(gram, kvec, square, kdot))
+
+
+def dense_cone_generators(s) -> tuple[tuple[int, ...], ...]:
+    """The (-1)-classes and conic bundle classes, or the primitive -K ray."""
+    gens = set(_lattice_classes(s.gram, s.K, -1, -1)) | set(_lattice_classes(s.gram, s.K, 0, -2))
+    if gens:
+        return tuple(sorted(gens))
+    g = 0
+    for x in s.K:
+        g = gcd(g, x)
+    return (tuple(-x // g for x in s.K),)
+
+
+def dense_is_nef(s, d, gens) -> bool:
+    """Nefness against the test classes gens (from dense_cone_generators)."""
+    return all(dense_intersect(s, d, c) >= 0 for c in gens)
+
+
+def dense_is_ample(s, d, gens) -> bool:
+    if dense_intersect(s, d, d) <= 0:
+        return False
+    return all(dense_intersect(s, d, c) > 0 for c in gens)
+
+
+def plain_marked_isometry(gram_s, k_s, tau_s, dst):
+    """Marked-lattice isometry onto dst by plain backtracking.
+
+    Same variable order (fewest candidates first) and candidate order
+    (sorted) as the library's search, but every pairing against the images
+    chosen so far is a dense double sum, and nothing is pruned before it is
+    reached.  Returns the matrix sending source coordinates to dst, or None.
+    """
+    n = len(k_s)
+    if n != len(dst.K):
+        return None
+    gk = [sum(gram_s[i][j] * k_s[j] for j in range(n)) for i in range(n)]
+    cands = [_lattice_classes(dst.gram, dst.K, gram_s[i][i], gk[i]) for i in range(n)]
+    if not all(cands):
+        return None
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    images = {}
+
+    def backtrack(pos):
+        if pos == n:
+            m = tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
+            if mat_vec(m, k_s) != dst.K or mat_mul(m, tau_s) != mat_mul(dst.tau, m):
+                return None
+            return m
+        i = order[pos]
+        for v in cands[i]:
+            if all(dense_intersect(dst, v, w) == gram_s[i][j] for j, w in images.items()):
+                images[i] = v
+                res = backtrack(pos + 1)
+                if res is not None:
+                    return res
+                del images[i]
+        return None
+
+    return backtrack(0)

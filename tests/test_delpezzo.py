@@ -282,6 +282,21 @@ class TestContraction:
         with pytest.raises(NotContractibleError):
             contract_along(s, (c, s.tau_image(c)))
 
+    def test_caches_bounded_and_image_lattices_dropped(self):
+        import gc
+
+        from sostransfer import delpezzo
+
+        assert delpezzo._contract.cache_info().maxsize is not None
+        assert delpezzo._classes.cache_info().maxsize is not None
+        s = surface_from_name("P2(4,2)")
+        reals, pairs = real_negative_curves(s)
+        for spec in reals + pairs:
+            contract_along(s, spec)
+        gc.collect()
+        kept = [o for o in gc.get_objects() if isinstance(o, delpezzo.SurfaceModel) and o.name == "?"]
+        assert kept == []
+
 
 class TestTransferSequence:
     def test_blown_up_sphere_ladder(self):

@@ -1,7 +1,11 @@
 import itertools
 import random
 
+from fractions import Fraction
+from math import ceil, floor, isqrt
+
 from sostransfer._intlinalg import (
+    enumerate_quadric_points,
     kernel_basis,
     rank_of,
     solve_in_column_span,
@@ -82,3 +86,32 @@ def test_known_counts():
     assert len(solve_quadratic_lattice(P2_GRAM_5, P2_K_5, -1, -1)) == 10
     assert len(solve_quadratic_lattice(P2_GRAM_5, P2_K_5, 0, -2)) == 5
     assert len(solve_quadratic_lattice(QUADRIC_GRAM, QUADRIC_K, -1, -1)) == 6
+
+
+def test_quadric_points_on_exact_boundaries():
+    # Rational centres, and radii hit exactly by an integer point, against a
+    # scan of a box that holds every solution (A - I is diagonally dominant,
+    # so A >= I and |y_i - c_i|^2 <= radius).
+    rng = random.Random(44)
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        a = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                a[i][j] = a[j][i] = Fraction(rng.randint(-1, 1), rng.randint(1, 2))
+        for i in range(k):
+            a[i][i] = 1 + sum(abs(x) for x in a[i]) + rng.randint(0, 1)
+        c = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(k)]
+        y0 = [floor(ci) + rng.randint(-1, 1) for ci in c]
+        z0 = [y - ci for y, ci in zip(y0, c)]
+        radius = sum(z0[i] * a[i][j] * z0[j] for i in range(k) for j in range(k))
+        reach = isqrt(ceil(radius)) + 1
+        box = [range(floor(ci) - reach, ceil(ci) + reach + 1) for ci in c]
+        brute = set()
+        for y in itertools.product(*box):
+            z = [yi - ci for yi, ci in zip(y, c)]
+            if sum(z[i] * a[i][j] * z[j] for i in range(k) for j in range(k)) == radius:
+                brute.add(y)
+        got = enumerate_quadric_points(a, c, radius)
+        assert tuple(y0) in brute
+        assert len(got) == len(set(got)) and set(got) == brute

@@ -39,6 +39,15 @@ class TestData:
         data = genus_example_data("canonical_times_line", 3, 5)
         assert minimal_transfer_s(data) == 10
 
+    def test_minimal_transfer_s_matches_counting(self):
+        # the closed form against counting s up from 1
+        for minus_k_h in range(1, 25):
+            for h_hk in range(-30, 120, 2):
+                s = 1
+                while s * minus_k_h <= h_hk:
+                    s += 1
+                assert minimal_transfer_s(RuledData(minus_k_h, h_hk, 0, 1)) == s
+
     def test_rejects_bad_data(self):
         with pytest.raises(RuledDataError):
             RuledData(0, 0, 0, 1)
