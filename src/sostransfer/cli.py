@@ -126,7 +126,7 @@ def _ruled_data(args) -> ruled.RuledData:
 def _cmd_toric_check(args) -> int:
     p = parse_polygon(args.p, args.strict)
     q = parse_polygon(args.q, args.strict)
-    verdict = toric.transfer_check(p, q, workers=args.threads)
+    verdict = toric.transfer_check(p, q)
     if args.json:
         _emit_json(toric.verdict_to_json_dict(verdict))
     else:
@@ -141,7 +141,7 @@ def _cmd_toric_check(args) -> int:
 def _cmd_toric_plan(args) -> int:
     p = parse_polygon(args.p, args.strict)
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    plan = toric.plan_transfer(p, families=families, objective=args.objective, workers=args.threads)
+    plan = toric.plan_transfer(p, families=families, objective=args.objective)
     if args.json:
         _emit_json(toric.plan_to_json_dict(plan))
     else:
@@ -271,24 +271,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, polygons=False, threads=False):
+    def common(sp, polygons=False):
         sp.add_argument("--json", action="store_true", help="emit JSON")
         if polygons:
             sp.add_argument("--strict", action="store_true", help="reject non-canonical vertex lists")
-        if threads:
-            sp.add_argument("--threads", type=int, default=1, help="worker threads for translate sweeps")
 
     sp = sub.add_parser("toric-check", help="one-step polygon transfer criterion")
     sp.add_argument("--p", required=True, help="polygon JSON (inline or file path)")
     sp.add_argument("--q", required=True, help="polygon JSON (inline or file path)")
-    common(sp, polygons=True, threads=True)
+    common(sp, polygons=True)
     sp.set_defaults(func=_cmd_toric_check)
 
     sp = sub.add_parser("toric-plan", help="search a multi-step transfer plan")
     sp.add_argument("--p", required=True)
     sp.add_argument("--families", default="trapezoids,rectangles,prisms,veronese")
     sp.add_argument("--objective", default="min_total_degree", choices=["min_total_degree", "min_steps"])
-    common(sp, polygons=True, threads=True)
+    common(sp, polygons=True)
     sp.set_defaults(func=_cmd_toric_plan)
 
     sp = sub.add_parser("hilbert", help="ternary-form multiplier pipelines")

@@ -3,14 +3,14 @@
 Everything in this module is integer or rational arithmetic: convex hulls,
 dilations, Minkowski sums, lattice-point counts, translate searches, and the
 connected-component bookkeeping for set differences ``P \\ Q'`` that feeds the
-toric transfer criterion.  No floating point is used anywhere.
+toric transfer criterion.  Every comparison is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -391,32 +391,37 @@ def _inward_halfplanes(q: LatticePolygon) -> tuple[tuple[int, int, int], ...]:
     return tuple(planes)
 
 
-def _covered_block_count(
-    p_edges: Sequence[tuple[int, int, int, int]],
-    n_edges: int,
-    planes: Sequence[tuple[int, int, int]],
-    mx: int,
-    my: int,
-) -> int:
-    """Number of maximal arcs of the boundary of P covered by Q + (mx, my).
+def _clip_rows(p: LatticePolygon, q: LatticePolygon) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per edge a + t*(dx, dy) of P, per inward halfplane (nx, ny, c) of Q,
+    the tuple (nx, ny, f0, df) with f0 = nx*ax + ny*ay - c and
+    df = nx*dx + ny*dy: on that edge the halfplane of Q + (mx, my) is
+    f0 - nx*mx - ny*my + t*df >= 0."""
+    planes = _inward_halfplanes(q)
+    return tuple(
+        tuple((nx, ny, nx * a.x + ny * a.y - c, nx * (b.x - a.x) + ny * (b.y - a.y)) for nx, ny, c in planes)
+        for a, b in p.edges
+    )
+
+
+def _covered_block_count(clip_rows: Sequence[Sequence[tuple[int, int, int, int]]], mx: int, my: int) -> int:
+    """Number of maximal arcs of the boundary of P covered by Q + (mx, my),
+    for the clip rows of (P, Q) from ``_clip_rows``.
 
     The boundary of P is parametrized by scalar position i + t along edge i.
     Each edge meets the convex translate in a single closed sub-interval,
     clipped in integer arithmetic; positions are exact fractions.  Touching
     intervals merge (closed-set semantics), including circularly.
 
-    Sorting uses float keys, which is order-exact here: positions are
-    fractions with numerator/denominator far below the 2^52 scale at which
-    distinct small rationals could collide as floats.
+    The sub-interval of edge i starts at i + t with t in [0, 1], and edges
+    are visited in order, so the intervals arrive sorted by start.
     """
     intervals: list[tuple[int, int, int, int]] = []  # (s_num, s_den, e_num, e_den)
-    for i, (ax, ay, dx, dy) in enumerate(p_edges):
+    for i, row in enumerate(clip_rows):
         lo_n, lo_d = 0, 1
         hi_n, hi_d = 1, 1
         empty = False
-        for nx, ny, c in planes:
-            f0 = nx * ax + ny * ay - c - nx * mx - ny * my
-            df = nx * dx + ny * dy
+        for nx, ny, f0, df in row:
+            f0 -= nx * mx + ny * my
             if df == 0:
                 if f0 < 0:
                     empty = True
@@ -434,8 +439,6 @@ def _covered_block_count(
         intervals.append((i * lo_d + lo_n, lo_d, i * hi_d + hi_n, hi_d))
     if not intervals:
         return 0
-    if len(intervals) > 1:
-        intervals.sort(key=lambda t: t[0] / t[1])
     first_s_num, first_s_den = intervals[0][0], intervals[0][1]
     cur_n, cur_d = intervals[0][2], intervals[0][3]
     blocks = 1
@@ -446,13 +449,9 @@ def _covered_block_count(
         else:
             blocks += 1
             cur_n, cur_d = e_num, e_den
-    if blocks > 1 and cur_n == n_edges * cur_d and first_s_num == 0:
+    if blocks > 1 and cur_n == len(clip_rows) * cur_d and first_s_num == 0:
         blocks -= 1
     return blocks
-
-
-def _edge_tuples(p: LatticePolygon) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple((a.x, a.y, b.x - a.x, b.y - a.y) for a, b in p.edges)
 
 
 def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCount:
@@ -469,49 +468,105 @@ def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCou
         raise DegeneratePolygonError("Q' must be full-dimensional")
     if qp.contains_polygon(p):
         raise EmptyDifferenceError("empty difference")
-    blocks = _covered_block_count(_edge_tuples(p), len(p.edges), _inward_halfplanes(qp), 0, 0)
+    blocks = _covered_block_count(_clip_rows(p, qp), 0, 0)
     comps = max(1, blocks)
     return ComponentCount(comps, comps - 1)
 
 
-def _translate_range(p: LatticePolygon, q: LatticePolygon) -> list[tuple[int, int]]:
-    """All m with (Q + m) meeting P: the lattice points of P + (-Q)."""
-    zone = minkowski_sum(p, q.reflect())
-    return [(pt.x, pt.y) for pt in zone.lattice_points()]
+def _normalized_line(a: int, b: int, k: int) -> tuple[int, int, int]:
+    """The line a*x + b*y = k with a > 0 and coprime coefficients (a != 0)."""
+    if a < 0:
+        a, b, k = -a, -b, -k
+    g = gcd(a, b, k)
+    return a // g, b // g, k // g
 
 
-def reduced_component_total(p: LatticePolygon, q: LatticePolygon, workers: int = 1) -> int:
+def _event_segments(p: LatticePolygon, q: LatticePolygon) -> set[tuple[int, int, int, int, int]]:
+    """Non-horizontal segments of translate space where the covered-arc
+    pattern of the boundary of P under Q + m can change, as (a, b, k, y0, y1):
+    the part of the line a*mx + b*my = k with y0 <= my <= y1.
+
+    On these segments a vertex of P lies on an edge of Q + m, or a vertex of
+    Q + m lies on an edge of P.  Off them no vertex crosses the other
+    boundary, so the crossing points of the two boundaries move without
+    appearing, vanishing or passing a vertex, and the block count stays the
+    same.  Horizontal segments (a = 0) are dropped: a row holds one whole or
+    misses it, and each of its ends, where a vertex of P meets a vertex of
+    Q + m, is also an end of the segment for the other, non-horizontal edge
+    at that vertex.
+    """
+    segments = set()
+    for (c, d), (nx, ny, cq) in zip(q.edges, _inward_halfplanes(q)):
+        if nx:
+            for v in p.vertices:
+                y0, y1 = sorted((v.y - c.y, v.y - d.y))
+                segments.add(_normalized_line(nx, ny, nx * v.x + ny * v.y - cq) + (y0, y1))
+    for (a, b), (nx, ny, cp) in zip(p.edges, _inward_halfplanes(p)):
+        if nx:
+            for w in q.vertices:
+                y0, y1 = sorted((a.y - w.y, b.y - w.y))
+                segments.add(_normalized_line(nx, ny, cp - nx * w.x - ny * w.y) + (y0, y1))
+    return segments
+
+
+def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     """Total reduced component count over all lattice translates of Q.
 
     Requires the transfer hypothesis: no lattice translate of P fits inside
-    Q.  Translates of Q disjoint from P contribute nothing and are excluded
-    by the enumeration range P + (-Q).
+    Q.  Translates of Q disjoint from P contribute nothing; the others are
+    the lattice points m of the zone P + (-Q), swept row by row.  Along a row
+    the block count is constant between consecutive breakpoints, where the
+    row crosses an event segment (see ``_event_segments``).  With ``scale``
+    the lcm of the segments' x-coefficients, each segment becomes
+    (k, b, y0, y1), whose breakpoint on a row my in [y0, y1] is the integer
+    k - b*my in units of 1/scale.  An integer breakpoint is evaluated on its
+    own (the sets are closed, so the count there may differ); each run of
+    integers strictly between breakpoints is evaluated once and weighted by
+    its length.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
-    p_edges = _edge_tuples(p)
-    n_edges = len(p.edges)
-    planes = _inward_halfplanes(q)
-    translates = _translate_range(p, q)
-
-    def _chunk_sum(chunk) -> int:
-        total = 0
-        for mx, my in chunk:
-            blocks = _covered_block_count(p_edges, n_edges, planes, mx, my)
+    clips = _clip_rows(p, q)
+    segments = _event_segments(p, q)
+    zone = minkowski_sum(p, q.reflect())
+    # The zone's side edges bound each row: nx*mx + ny*my >= c on the left
+    # (nx > 0) and on the right (nx < 0), as lines a*mx + b*my = k, a > 0.
+    left, right = [], []
+    for nx, ny, c in _inward_halfplanes(zone):
+        if nx:
+            (left if nx > 0 else right).append(_normalized_line(nx, ny, c))
+    scale = lcm(*(a for a, _, _, _, _ in segments), *(a for a, _, _ in left + right))
+    cuts = tuple({(scale // a * k, scale // a * b, y0, y1) for a, b, k, y0, y1 in segments})
+    left = tuple((scale // a * k, scale // a * b) for a, b, k in left)
+    right = tuple((scale // a * k, scale // a * b) for a, b, k in right)
+    _, ymin, _, ymax = zone.bounding_box
+    total = 0
+    for my in range(ymin, ymax + 1):
+        lo = -(-max(k - b * my for k, b in left) // scale)
+        hi = min(k - b * my for k, b in right) // scale
+        if lo > hi:
+            continue
+        lo_s, hi_s = lo * scale, hi * scale
+        runs = []  # (first integer, number of integers sharing its count)
+        mx = lo  # first integer of the row not yet in a run
+        xs = {x for k, b, y0, y1 in cuts if y0 <= my <= y1 and lo_s <= (x := k - b * my) <= hi_s}
+        for x in sorted(xs):
+            nxt = -(-x // scale)  # least integer at or after the breakpoint
+            if mx < nxt:
+                runs.append((mx, nxt - mx))
+            mx = nxt
+            if nxt * scale == x:
+                runs.append((nxt, 1))
+                mx = nxt + 1
+        if mx <= hi:
+            runs.append((mx, hi - mx + 1))
+        for start, width in runs:
+            blocks = _covered_block_count(clips, start, my)
             if blocks > 1:
-                total += blocks - 1
-        return total
-
-    if workers <= 1 or len(translates) < 512:
-        return _chunk_sum(translates)
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = (len(translates) + workers - 1) // workers
-    chunks = [translates[i : i + size] for i in range(0, len(translates), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_chunk_sum, chunks))
+                total += (blocks - 1) * width
+    return total
 
 
 # -- lattice equivalence ------------------------------------------------------

@@ -104,7 +104,7 @@ class TransferPlan:
             raise ToricTransferError(f"unknown terminal kind {self.terminal_kind!r}")
 
 
-def transfer_check(p: LatticePolygon, q: LatticePolygon, workers: int = 1) -> TransferVerdict:
+def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     """One-step criterion: does Q support multipliers for P?
 
     Requires that no lattice translate of P sits inside Q; when that
@@ -112,12 +112,12 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon, workers: int = 1) -> Tr
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("the criterion needs full-dimensional polygons")
-    return _transfer_check_cached(p, q, workers)
+    return _transfer_check_cached(p, q)
 
 
 @lru_cache(maxsize=None)
-def _transfer_check_cached(p: LatticePolygon, q: LatticePolygon, workers: int) -> TransferVerdict:
-    h = reduced_component_total(p, q, workers=workers)
+def _transfer_check_cached(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
+    h = reduced_component_total(p, q)
     count_2q = lattice_point_count(dilate(q, 2))
     interior_pq = interior_lattice_point_count(minkowski_sum(p, q))
     margin = count_2q + h - interior_pq
@@ -382,7 +382,6 @@ def plan_transfer(
     families: Sequence[str] = ("trapezoids", "rectangles", "prisms", "veronese"),
     objective: str = "min_total_degree",
     context: Optional[str] = None,
-    workers: int = 1,
 ) -> TransferPlan:
     """Greedy chain search over parametric candidate families.
 
@@ -417,7 +416,7 @@ def plan_transfer(
                 if level is not None and deg > level:
                     break
                 try:
-                    verdict = transfer_check(cur, q, workers=workers)
+                    verdict = transfer_check(cur, q)
                 except TranslateContainmentError:
                     continue
                 if not verdict.holds:
@@ -482,15 +481,6 @@ def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:
     n = len(dirs)
     seen: set[tuple] = set()
 
-    def norm(points: list[tuple[int, int]]) -> Optional[LatticePolygon]:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        if max(px + py for px, py in points) - min(xs) - min(ys) > k:
-            return None
-        shift = (-min(xs), -min(ys))
-        poly = LatticePolygon([(px + shift[0], py + shift[1]) for px, py in points])
-        return poly
-
     def fits(points: list[tuple[int, int]]) -> bool:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
@@ -499,9 +489,13 @@ def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:
     results: list[LatticePolygon] = []
 
     def dfs(idx: int, pos: tuple[int, int], points: list[tuple[int, int]], used: int) -> None:
+        # Every chain reaching here passed ``fits``; closing it only shifts
+        # it into the first quadrant.
         if used >= 3 and pos == (0, 0):
-            poly = norm(points)
-            if poly is not None and poly.dim == 2 and poly.vertices not in seen:
+            x0 = min(px for px, _ in points)
+            y0 = min(py for _, py in points)
+            poly = LatticePolygon([(px - x0, py - y0) for px, py in points])
+            if poly.dim == 2 and poly.vertices not in seen:
                 seen.add(poly.vertices)
                 results.append(poly)
             # continue: longer chains may also close later with other dirs

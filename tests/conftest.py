@@ -11,7 +11,16 @@ from operator import mul
 import pytest
 
 from sostransfer._intlinalg import mat_mul, mat_vec, solve_quadratic_lattice
-from sostransfer.lattice import LatticePolygon, dilate
+from sostransfer.lattice import (
+    DegeneratePolygonError,
+    LatticePolygon,
+    TranslateContainmentError,
+    _clip_rows,
+    _covered_block_count,
+    contains_lattice_translate,
+    dilate,
+    minkowski_sum,
+)
 
 
 def random_polygon(rng: random.Random, max_coord: int = 8, tries: int = 50) -> LatticePolygon:
@@ -51,6 +60,72 @@ def brute_force_interior_count(poly: LatticePolygon) -> int:
             ):
                 count += 1
     return count
+
+
+def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
+    """Reduced component total by visiting every lattice translate of Q.
+
+    The reference for ``reduced_component_total``: one block count at each
+    lattice point m of the zone P + (-Q), with no breakpoints.
+    """
+    if p.dim != 2 or q.dim != 2:
+        raise DegeneratePolygonError("component totals need full-dimensional polygons")
+    if contains_lattice_translate(p, q) is not None:
+        raise TranslateContainmentError("translate containment")
+    clips = _clip_rows(p, q)
+    total = 0
+    for m in minkowski_sum(p, q.reflect()).lattice_points():
+        blocks = _covered_block_count(clips, m.x, m.y)
+        if blocks > 1:
+            total += blocks - 1
+    return total
+
+
+def total_or_containment(total_fn, p: LatticePolygon, q: LatticePolygon):
+    """total_fn(p, q), or the string "containment" if it raises
+    TranslateContainmentError, so two sweeps can be compared in one assert."""
+    try:
+        return total_fn(p, q)
+    except TranslateContainmentError:
+        return "containment"
+
+
+def fraction_covered_arcs(p: LatticePolygon, qp: LatticePolygon) -> tuple[int, list[Fraction]]:
+    """Maximal arcs of the boundary of P inside Q', with Fraction keys.
+
+    Each edge i of P is clipped against every halfplane of Q' as an exact
+    Fraction interval of positions i + t, the intervals are sorted by their
+    Fraction starts, and touching ones merge, circularly too.  Returns the
+    arc count and the sorted starts.
+    """
+    n = len(p.edges)
+    intervals = []
+    for i, (a, b) in enumerate(p.edges):
+        lo, hi = Fraction(0), Fraction(1)
+        for c, d in qp.edges:
+            # side(point) >= 0 on Q'; along the edge it is s0 + t * ds
+            s0 = (d.x - c.x) * (a.y - c.y) - (d.y - c.y) * (a.x - c.x)
+            s1 = (d.x - c.x) * (b.y - c.y) - (d.y - c.y) * (b.x - c.x)
+            ds = s1 - s0
+            if ds == 0:
+                if s0 < 0:
+                    lo, hi = Fraction(1), Fraction(0)
+            elif ds > 0:
+                lo = max(lo, Fraction(-s0, ds))
+            else:
+                hi = min(hi, Fraction(-s0, ds))
+        if lo <= hi:
+            intervals.append((i + lo, i + hi))
+    intervals.sort(key=lambda iv: iv[0])
+    arcs = []
+    for start, end in intervals:
+        if arcs and start <= arcs[-1][1]:
+            arcs[-1][1] = max(arcs[-1][1], end)
+        else:
+            arcs.append([start, end])
+    if len(arcs) > 1 and arcs[-1][1] == n and arcs[0][0] == 0:
+        arcs.pop()
+    return len(arcs), [start for start, _ in intervals]
 
 
 def shoelace_area_twice(poly: LatticePolygon) -> int:

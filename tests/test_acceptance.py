@@ -46,12 +46,14 @@ from sostransfer.toric import (
 )
 
 from conftest import (
+    brute_force_component_total,
     component_oracle_pairs,
     ehrhart_quadratic,
     flood_fill_components,
     random_polygon,
     shoelace_area_twice,
     structured_oracle_pairs,
+    total_or_containment,
 )
 
 FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
@@ -279,6 +281,9 @@ def test_c12_geometry_property_suite():
         instances += 1
     for p, qp, expected in structured_oracle_pairs(rng, 100):
         assert difference_components(p, qp).components == max(1, expected)
+        assert total_or_containment(reduced_component_total, p, qp) == total_or_containment(
+            brute_force_component_total, p, qp
+        )
         instances += 1
     for p, qp, expected in component_oracle_pairs(rng, 50):
         assert difference_components(p, qp).components == max(1, expected)

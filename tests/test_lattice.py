@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from sostransfer import lattice
 from sostransfer.lattice import (
     ComponentCount,
     DegeneratePolygonError,
@@ -24,6 +27,13 @@ from sostransfer.lattice import (
     standard_prism,
     veronese_triangle,
     wide_prism,
+)
+
+from conftest import (
+    brute_force_component_total,
+    fraction_covered_arcs,
+    random_polygon,
+    total_or_containment,
 )
 
 FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
@@ -178,9 +188,76 @@ class TestReducedComponentTotal:
         with pytest.raises(TranslateContainmentError):
             reduced_component_total(rectangle(1, 1), rectangle(2, 2))
 
-    def test_workers_agree(self):
-        p, q = veronese_triangle(6), FIGURE_PRISM
-        assert reduced_component_total(p, q) == reduced_component_total(p, q, workers=3)
+
+def _steep_polygon(rng: random.Random) -> LatticePolygon:
+    """A random polygon in a box of width 2..3 and height up to 13, upright
+    or on its side, so that most edge normals have |nx| > 1."""
+    while True:
+        w, hgt = rng.randint(2, 3), rng.randint(5, 13)
+        pts = [(rng.randint(0, w), rng.randint(0, hgt)) for _ in range(rng.randint(3, 6))]
+        if rng.random() < 0.5:
+            pts = [(y, x) for x, y in pts]
+        poly = LatticePolygon(pts)
+        if poly.dim == 2:
+            return poly
+
+
+class TestRowSweepOracle:
+    """The breakpoint row sweep against the per-translate sweep."""
+
+    def test_steep_edge_corpus(self):
+        rng = random.Random(606)
+        scaled = 0
+        for _ in range(150):
+            p, q = _steep_polygon(rng), _steep_polygon(rng)
+            got = total_or_containment(reduced_component_total, p, q)
+            assert got == total_or_containment(brute_force_component_total, p, q), (p, q)
+            scaled += max(a for a, *_ in lattice._event_segments(p, q)) > 1
+        assert scaled >= 100  # most pairs have breakpoints off the lattice
+
+    def test_far_from_origin_corpus(self):
+        rng = random.Random(616)
+        for _ in range(150):
+            p = random_polygon(rng, max_coord=rng.choice((5, 9)))
+            q = random_polygon(rng, max_coord=rng.choice((3, 6)))
+            far = 10 ** rng.randint(6, 9)
+            pm = p.translate((rng.randint(-far, far), rng.randint(-far, far)))
+            qm = q.translate((rng.randint(-far, far), rng.randint(-far, far)))
+            got = total_or_containment(reduced_component_total, pm, qm)
+            assert got == total_or_containment(brute_force_component_total, pm, qm), (pm, qm)
+            # the total runs over all translates of Q, so it ignores both shifts
+            assert got == total_or_containment(reduced_component_total, p, q)
+
+    def test_containment_raised_alike(self):
+        rng = random.Random(626)
+        raised = 0
+        for _ in range(200):
+            p = random_polygon(rng, max_coord=3)
+            q = random_polygon(rng, max_coord=7)
+            got = total_or_containment(reduced_component_total, p, q)
+            assert got == total_or_containment(brute_force_component_total, p, q), (p, q)
+            raised += got == "containment"
+        assert raised >= 50
+
+
+class TestExactArcOrder:
+    """Arc counts at coordinates where float positions along the boundary
+    collide, against an oracle that sorts by Fraction keys."""
+
+    @pytest.mark.parametrize("shift", [10**7, 10**8, 10**9])
+    def test_slivers_at_a_vertex(self, shift):
+        n = m = 10**9
+        p = LatticePolygon([(0, 0), (n, 0), (0, n)]).translate((shift, -3 * shift))
+        slivers = (
+            [(n - 1, m), (n + 1, -m - 1), (n + m, 0)],  # covers the vertex (n, 0)
+            [(n - 1, m), (n + 1, -m - 2), (n + 1, -m - 1)],  # passes just inside it
+        )
+        for verts in slivers:
+            qp = LatticePolygon(verts).translate((shift, -3 * shift))
+            arcs, starts = fraction_covered_arcs(p, qp)
+            # distinct exact starts that one float key cannot tell apart
+            assert any(a != b and float(a) == float(b) for a, b in zip(starts, starts[1:]))
+            assert difference_components(p, qp).components == max(1, arcs)
 
 
 class TestLatticeEquivalence:

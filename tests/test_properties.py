@@ -22,6 +22,7 @@ from sostransfer.lattice import (
 )
 
 from conftest import (
+    brute_force_component_total,
     brute_force_interior_count,
     brute_force_lattice_count,
     edges_share_a_line,
@@ -30,6 +31,7 @@ from conftest import (
     random_polygon,
     random_unimodular,
     shoelace_area_twice,
+    total_or_containment,
 )
 
 point_lists = st.lists(
@@ -112,23 +114,31 @@ def test_minkowski_edge_law_corpus():
 
 
 def test_component_oracle_structured_corpus():
-    """Arc counting against the quarter-grid flood fill on pipeline shapes."""
+    """Arc counting against the quarter-grid flood fill on pipeline shapes,
+    and the row sweep against the per-translate sweep on the same pairs."""
     rng = random.Random(404)
     from conftest import structured_oracle_pairs
 
     for p, qp, expected in structured_oracle_pairs(rng, 120):
         got = difference_components(p, qp).components
         assert got == max(1, expected), (p.vertices, qp.vertices, got, expected)
+        assert total_or_containment(reduced_component_total, p, qp) == total_or_containment(
+            brute_force_component_total, p, qp
+        )
 
 
 def test_component_oracle_random_corpus():
-    """Arc counting against the flood fill on grid-faithful random pairs."""
+    """Arc counting against the flood fill on grid-faithful random pairs,
+    and the row sweep against the per-translate sweep on the same pairs."""
     rng = random.Random(414)
     from conftest import component_oracle_pairs
 
     for p, qp, expected in component_oracle_pairs(rng, 60):
         got = difference_components(p, qp).components
         assert got == max(1, expected), (p.vertices, qp.vertices, got, expected)
+        assert total_or_containment(reduced_component_total, p, qp) == total_or_containment(
+            brute_force_component_total, p, qp
+        )
 
 
 def test_translate_total_unimodular_invariance():

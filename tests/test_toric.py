@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 
 from sostransfer.lattice import (
@@ -27,6 +30,8 @@ from sostransfer.toric import (
     trapezoid_count_2q,
     veronese_step_counts,
 )
+
+from conftest import brute_force_component_total
 
 FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
 
@@ -63,6 +68,17 @@ class TestTransferCheck:
     def test_inapplicable(self):
         with pytest.raises(TranslateContainmentError):
             transfer_check(rectangle(1, 1), rectangle(2, 2))
+
+    def test_thin_polygon_sweeps_rows_not_translates(self):
+        # P + (-2Δ) has four rows; the sweep costs O(rows), not O(n).
+        q = veronese_triangle(2)
+        p = LatticePolygon([(0, 0), (2 * 10**4, 0), (0, 1)])
+        assert transfer_check(p, q).h == brute_force_component_total(p, q) == 2 * 2 * 10**4 - 5
+        n = 10**12
+        start = time.perf_counter()
+        v = transfer_check(LatticePolygon([(0, 0), (n, 0), (0, 1)]), q)
+        assert time.perf_counter() - start < 1.0
+        assert v.h == 2 * n - 5
 
 
 class TestClassicPipeline:
@@ -204,6 +220,14 @@ class TestSubpolygonEnumeration:
                     seen.add(poly.translate((-xmin, -ymin)).vertices)
             enumerated = {q.vertices for q in iter_convex_subpolygons(k)}
             assert enumerated == seen
+
+    def test_same_polygons_in_same_order(self):
+        # pins the order as well as the set: sha1 of the vertex lists, k = 1..4
+        digest = hashlib.sha1()
+        for k in range(1, 5):
+            for q in iter_convex_subpolygons(k):
+                digest.update(repr([tuple(v) for v in q.vertices]).encode())
+        assert digest.hexdigest() == "503dc61e61cdbb2996c98a612facc7ef965b69f8"
 
     def test_degree_cap(self):
         with pytest.raises(ToricTransferError):
