@@ -50,38 +50,32 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def parse_polygon(source: str, strict: bool = False) -> LatticePolygon:
-    """Polygon from inline JSON or a file path; canonicalizes on read.
-
-    Vertices must be integer pairs.  Under strict mode the input vertices
-    must already be exactly the canonical hull (no interior points, no
-    collinear vertices).
-    """
+def _read_json(source: str, what: str):
+    """The JSON value of ``source``, given inline (starting with '{') or as
+    a file path; ``what`` names the input in error messages."""
     text = source.strip()
     if not text.startswith("{"):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliInputError(f"cannot read polygon file {source!r}: {exc}") from None
+            raise CliInputError(f"cannot read {what} file {source!r}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"malformed polygon JSON: {exc}") from None
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise CliInputError("polygon JSON must have a 'vertices' field")
-    verts = data["vertices"]
-    if not isinstance(verts, list) or len(verts) < 1:
-        raise CliInputError("field 'vertices' must be a nonempty list")
-    for v in verts:
-        if (
-            not isinstance(v, list)
-            or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, int) for c in v)
-        ):
-            raise CliInputError(f"field 'vertices' must hold integer pairs, got {v!r}")
-    poly = LatticePolygon(verts)
-    if strict and set(poly.vertices) != {tuple(v) for v in verts}:
+        raise CliInputError(f"malformed {what} JSON: {exc}") from None
+
+
+def parse_polygon(source: str, strict: bool = False) -> LatticePolygon:
+    """Polygon from inline JSON or a file path; canonicalizes on read.
+
+    Vertices must be integer pairs (checked by ``LatticePolygon.from_json_dict``).
+    Under strict mode the input vertices must already be exactly the
+    canonical hull (no interior points, no collinear vertices).
+    """
+    data = _read_json(source, "polygon")
+    poly = LatticePolygon.from_json_dict(data)
+    if strict and set(poly.vertices) != {tuple(v) for v in data["vertices"]}:
         raise CliInputError("field 'vertices' is not in strict convex position")
     return poly
 
@@ -106,18 +100,7 @@ def _ruled_data(args) -> ruled.RuledData:
         return ruled.genus_example_data("elliptic_segre")
     if not args.data:
         raise CliInputError("field 'data' is required (or pass --elliptic)")
-    text = args.data.strip()
-    if not text.startswith("{"):
-        try:
-            with open(args.data, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliInputError(f"cannot read data file {args.data!r}: {exc}") from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"malformed data JSON: {exc}") from None
-    return ruled.RuledData.from_json_dict(payload)
+    return ruled.RuledData.from_json_dict(_read_json(args.data, "data"))
 
 
 # -- subcommands ----------------------------------------------------------------

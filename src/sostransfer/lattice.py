@@ -193,8 +193,14 @@ class LatticePolygon:
         return LatticePolygon._from_canonical(tuple(p + m for p in self.vertices))
 
     def reflect(self) -> "LatticePolygon":
-        """The polygon -P (point reflection through the origin)."""
-        return LatticePolygon(tuple(-p for p in self.vertices))
+        """The polygon -P (point reflection through the origin).
+
+        A half-turn keeps the CCW order, so the negated vertices only rotate
+        to start at the new lex-min vertex, the image of the lex-max one.
+        """
+        v = tuple(-p for p in self.vertices)
+        i = v.index(min(v))
+        return LatticePolygon._from_canonical(v[i:] + v[:i])
 
     def apply_unimodular(self, matrix: Sequence[Sequence[int]], shift=(0, 0)) -> "LatticePolygon":
         (a, b), (c, d) = matrix
@@ -249,20 +255,12 @@ class LatticePolygon:
     def lattice_point_count(self) -> int:
         """Exact number of lattice points in the closed polygon.
 
-        Computed by an exact row sweep, independently of Pick's identity, so
-        the identity can serve as a test invariant.
+        Pick's theorem, 2A = 2I + B - 2, in closed form: (2A + B)/2 + 1,
+        O(edges) whatever the size of the polygon.
         """
-        if self.dim == 0:
-            return 1
-        if self.dim == 1:
+        if self.dim < 2:
             return self.boundary_lattice_point_count
-        _, ymin, _, ymax = self.bounding_box
-        total = 0
-        for y in range(ymin, ymax + 1):
-            span = self._row_span(y)
-            if span is not None:
-                total += span[1] - span[0] + 1
-        return total
+        return (self.twice_area + self.boundary_lattice_point_count) // 2 + 1
 
     @cached_property
     def interior_lattice_point_count(self) -> int:
@@ -308,11 +306,19 @@ class LatticePolygon:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LatticePolygon":
+        """The polygon of ``{"vertices": [[x, y], ...]}``, canonicalized."""
         if not isinstance(data, dict) or "vertices" not in data:
-            raise LatticeGeometryError("polygon JSON must be an object with a 'vertices' key")
+            raise LatticeGeometryError("polygon JSON must have a 'vertices' field")
         verts = data["vertices"]
         if not isinstance(verts, list) or not verts:
-            raise LatticeGeometryError("polygon JSON needs a nonempty vertex list")
+            raise LatticeGeometryError("field 'vertices' must be a nonempty list")
+        for v in verts:
+            if (
+                not isinstance(v, (list, tuple))
+                or len(v) != 2
+                or any(isinstance(c, bool) or not isinstance(c, int) for c in v)
+            ):
+                raise LatticeGeometryError(f"field 'vertices' must hold integer pairs, got {v!r}")
         return cls(verts)
 
 
@@ -346,13 +352,69 @@ def dilate(poly: LatticePolygon, k: int) -> LatticePolygon:
     if k < 0:
         raise LatticeGeometryError("dilation factor must be nonnegative")
     if k == 0:
-        return LatticePolygon([(0, 0)])
-    return LatticePolygon([p.scaled(k) for p in poly.vertices])
+        return LatticePolygon._from_canonical((LatticePoint(0, 0),))
+    return LatticePolygon._from_canonical(tuple(p.scaled(k) for p in poly.vertices))
+
+
+def _edge_vectors(poly: LatticePolygon) -> list[tuple[int, int]]:
+    """Edge vectors in CCW order from the lex-min vertex; a segment has two
+    opposite ones and a point none."""
+    v = poly.vertices
+    n = len(v)
+    if n == 1:
+        return []
+    return [(v[(i + 1) % n].x - v[i].x, v[(i + 1) % n].y - v[i].y) for i in range(n)]
+
+
+def _turn_key(e: tuple[int, int]) -> int:
+    """0 for directions in the half-turn (-90°, 90°], 1 for (90°, 270°].
+
+    From the lex-min vertex the CCW edge directions run from just above
+    -90° up to 270°, so each polygon's edge list is sorted by (half, angle)
+    and two directions in one half compare by the sign of their cross
+    product.
+    """
+    return 0 if e[0] > 0 or (e[0] == 0 and e[1] > 0) else 1
 
 
 def minkowski_sum(p: LatticePolygon, q: LatticePolygon) -> LatticePolygon:
-    """Minkowski sum P + Q (hull of pairwise vertex sums)."""
-    return LatticePolygon([a + b for a in p.vertices for b in q.vertices])
+    """Minkowski sum P + Q by merging the two CCW edge sequences.
+
+    The sum starts at the sum of the lex-min vertices; its edges are the
+    edges of P and Q in angular order, with parallel edges of one direction
+    joined, so the vertex list comes out canonical without a hull.
+    """
+    ep, eq = _edge_vectors(p), _edge_vectors(q)
+    edges: list[tuple[int, int]] = []
+    i = j = 0
+    while i < len(ep) or j < len(eq):
+        if j == len(eq):
+            e = ep[i]
+            i += 1
+        elif i == len(ep):
+            e = eq[j]
+            j += 1
+        else:
+            a, b = ep[i], eq[j]
+            ha, hb = _turn_key(a), _turn_key(b)
+            cross = a[0] * b[1] - a[1] * b[0]
+            if ha == hb and cross == 0:
+                e = (a[0] + b[0], a[1] + b[1])
+                i += 1
+                j += 1
+            elif ha < hb or (ha == hb and cross > 0):
+                e = a
+                i += 1
+            else:
+                e = b
+                j += 1
+        edges.append(e)
+    x, y = p.vertices[0].x + q.vertices[0].x, p.vertices[0].y + q.vertices[0].y
+    vertices = [LatticePoint(x, y)]
+    for dx, dy in edges[:-1]:
+        x, y = x + dx, y + dy
+        vertices.append(LatticePoint(x, y))
+    return LatticePolygon._from_canonical(tuple(vertices))
 
 
 def lattice_point_count(poly: LatticePolygon) -> int:
@@ -518,11 +580,24 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     the block count is constant between consecutive breakpoints, where the
     row crosses an event segment (see ``_event_segments``).  With ``scale``
     the lcm of the segments' x-coefficients, each segment becomes
-    (k, b, y0, y1), whose breakpoint on a row my in [y0, y1] is the integer
-    k - b*my in units of 1/scale.  An integer breakpoint is evaluated on its
-    own (the sets are closed, so the count there may differ); each run of
+    (y0, y1, k, b), whose breakpoint on a row my in [y0, y1] is the integer
+    k - b*my in units of 1/scale.  Every segment lies in the zone and the
+    zone's side edges are covered by segments, so a row's first and last
+    breakpoints are its ends.  An integer breakpoint is evaluated on its own
+    (the sets are closed, so the count there may differ); each run of
     integers strictly between breakpoints is evaluated once and weighted by
     its length.
+
+    A row's signature is its active segments, grouped by equal breakpoint,
+    in x order.  Segment rows have integer ends and two segments can only
+    cross between rows by swapping their order, so while the signature stays
+    the same each run lies in the same cell of the arrangement as on the
+    previous row, and its block count is reused: key 2g names the open gap
+    just before group g, key 2g + 1 the integer breakpoint on group g.  The
+    signature holds from one row to the next exactly when no segment starts
+    or ends, every group lies on one line (segments of two lines meet once)
+    and the groups' breakpoints still increase; otherwise the row is sorted
+    afresh and the stored counts are dropped.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
@@ -530,42 +605,59 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
         raise TranslateContainmentError("translate containment")
     clips = _clip_rows(p, q)
     segments = _event_segments(p, q)
-    zone = minkowski_sum(p, q.reflect())
-    # The zone's side edges bound each row: nx*mx + ny*my >= c on the left
-    # (nx > 0) and on the right (nx < 0), as lines a*mx + b*my = k, a > 0.
-    left, right = [], []
-    for nx, ny, c in _inward_halfplanes(zone):
-        if nx:
-            (left if nx > 0 else right).append(_normalized_line(nx, ny, c))
-    scale = lcm(*(a for a, _, _, _, _ in segments), *(a for a, _, _ in left + right))
-    cuts = tuple({(scale // a * k, scale // a * b, y0, y1) for a, b, k, y0, y1 in segments})
-    left = tuple((scale // a * k, scale // a * b) for a, b, k in left)
-    right = tuple((scale // a * k, scale // a * b) for a, b, k in right)
-    _, ymin, _, ymax = zone.bounding_box
+    scale = lcm(*(a for a, _, _, _, _ in segments))
+    cuts = sorted({(y0, y1, scale // a * k, scale // a * b) for a, b, k, y0, y1 in segments})
+    ymax = max(y1 for _, y1, _, _ in cuts)
     total = 0
-    for my in range(ymin, ymax + 1):
-        lo = -(-max(k - b * my for k, b in left) // scale)
-        hi = min(k - b * my for k, b in right) // scale
-        if lo > hi:
-            continue
-        lo_s, hi_s = lo * scale, hi * scale
-        runs = []  # (first integer, number of integers sharing its count)
-        mx = lo  # first integer of the row not yet in a run
-        xs = {x for k, b, y0, y1 in cuts if y0 <= my <= y1 and lo_s <= (x := k - b * my) <= hi_s}
-        for x in sorted(xs):
-            nxt = -(-x // scale)  # least integer at or after the breakpoint
-            if mx < nxt:
-                runs.append((mx, nxt - mx))
-            mx = nxt
-            if nxt * scale == x:
-                runs.append((nxt, 1))
-                mx = nxt + 1
-        if mx <= hi:
-            runs.append((mx, hi - mx + 1))
-        for start, width in runs:
-            blocks = _covered_block_count(clips, start, my)
-            if blocks > 1:
-                total += (blocks - 1) * width
+    active: list[tuple[int, int, int]] = []  # (y1, k, b) of the segments on the row
+    added = 0  # cuts[:added] have started
+    ends = ymax  # every active segment lasts through this row
+    lines: Optional[list[tuple[int, int]]] = None  # (k, b) per group while the signature holds
+    counts: dict[int, int] = {}
+    for my in range(cuts[0][0], ymax + 1):
+        if my > ends:
+            active = [seg for seg in active if seg[0] >= my]
+            lines = None
+        while added < len(cuts) and cuts[added][0] == my:
+            _, y1, k, b = cuts[added]
+            active.append((y1, k, b))
+            added += 1
+            lines = None
+        if lines is not None:
+            xs = [k - b * my for k, b in lines]
+            if any(x0 >= x1 for x0, x1 in zip(xs, xs[1:])):
+                lines = None
+        one_line = True  # every group of the row lies on one line
+        if lines is None:
+            ends = min(y1 for y1, _, _ in active)
+            counts = {}
+            xs, lines = [], []
+            for x, k, b in sorted((k - b * my, k, b) for _, k, b in active):
+                if xs and xs[-1] == x:
+                    one_line = one_line and lines[-1] == (k, b)
+                else:
+                    xs.append(x)
+                    lines.append((k, b))
+        prev = None
+        for g, x in enumerate(xs):
+            if prev is not None:
+                start = prev // scale + 1  # least integer after the previous breakpoint
+                width = -(-x // scale) - start  # integers strictly before this one
+                if width > 0:
+                    blocks = counts.get(2 * g)
+                    if blocks is None:
+                        blocks = counts[2 * g] = _covered_block_count(clips, start, my)
+                    if blocks > 1:
+                        total += (blocks - 1) * width
+            if x % scale == 0:
+                blocks = counts.get(2 * g + 1)
+                if blocks is None:
+                    blocks = counts[2 * g + 1] = _covered_block_count(clips, x // scale, my)
+                if blocks > 1:
+                    total += blocks - 1
+            prev = x
+        if not one_line:
+            lines = None
     return total
 
 

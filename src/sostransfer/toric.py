@@ -115,7 +115,7 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     return _transfer_check_cached(p, q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _transfer_check_cached(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     h = reduced_component_total(p, q)
     count_2q = lattice_point_count(dilate(q, 2))
@@ -229,9 +229,6 @@ def hilbert_classic_plan(d: int) -> TransferPlan:
 _CLOSE_AT_OR_BELOW = 5
 _BITE_PROBE_SLACK = 3
 
-_state_memo: dict[tuple[int, int], tuple[PlanStep, ...]] = {}
-
-
 def _closing_candidates(dmax: int) -> list[LatticePolygon]:
     """Terminal polygons worth trying from a trapezoid of degree dmax,
     ordered by multiplier degree then shape."""
@@ -252,20 +249,18 @@ def _closing_candidates(dmax: int) -> list[LatticePolygon]:
     return [q for _, q in cands]
 
 
+@lru_cache(maxsize=2048)
 def _pipeline_from_state(d: int, m: int) -> tuple[PlanStep, ...]:
     """Steps of the corner-biting pipeline from the trapezoid state T(d, m).
 
     Bites take the largest corner cut whose geometric check passes (probed a
     little above the h-free closed-form bound); degree drops go three at a
     time while the cut lasts; once the degree is small a direct step onto a
-    prism or twice the unit triangle closes the chain.
+    prism or twice the unit triangle closes the chain.  States are memoized
+    in a bounded LRU, so the chains of nearby degrees share their tails.
     """
-    key = (d, m)
-    if key in _state_memo:
-        return _state_memo[key]
     cur = trapezoid(d, m)
     if _is_terminal(cur) is not None:
-        _state_memo[key] = ()
         return ()
     steps: Optional[tuple[PlanStep, ...]] = None
     if d <= _CLOSE_AT_OR_BELOW:
@@ -298,7 +293,6 @@ def _pipeline_from_state(d: int, m: int) -> tuple[PlanStep, ...]:
         if not verdict.holds:
             raise PipelineStepError(f"degree-drop step failed at T({d},{m})", cur, q, verdict)
         steps = (PlanStep(cur, q, verdict, note="reduce"),) + _pipeline_from_state(d - 3, m - 3)
-    _state_memo[key] = steps
     return steps
 
 
@@ -406,9 +400,10 @@ def plan_transfer(
             raise NoPlanError("no plan: search did not terminate", steps)
         candidates = _family_candidates(cur, families, ctx)
         candidates.sort(key=lambda q: (step_multiplier_degree(q, ctx), q.vertices))
+        terminal = [_is_terminal(q) is not None for q in candidates]
         chosen: Optional[tuple[LatticePolygon, TransferVerdict]] = None
         for terminal_only in (True, False):
-            pool = [q for q in candidates if (_is_terminal(q) is not None) == terminal_only]
+            pool = [q for q, t in zip(candidates, terminal) if t == terminal_only]
             level: Optional[int] = None
             best: Optional[tuple[tuple[int, tuple], LatticePolygon, TransferVerdict]] = None
             for q in pool:

@@ -81,6 +81,11 @@ def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     return total
 
 
+def hull_minkowski_sum(p: LatticePolygon, q: LatticePolygon) -> LatticePolygon:
+    """P + Q as the convex hull of all pairwise vertex sums."""
+    return LatticePolygon([a + b for a in p.vertices for b in q.vertices])
+
+
 def total_or_containment(total_fn, p: LatticePolygon, q: LatticePolygon):
     """total_fn(p, q), or the string "containment" if it raises
     TranslateContainmentError, so two sweeps can be compared in one assert."""

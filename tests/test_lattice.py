@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -31,7 +32,10 @@ from sostransfer.lattice import (
 
 from conftest import (
     brute_force_component_total,
+    brute_force_interior_count,
+    brute_force_lattice_count,
     fraction_covered_arcs,
+    hull_minkowski_sum,
     random_polygon,
     total_or_containment,
 )
@@ -238,6 +242,183 @@ class TestRowSweepOracle:
             assert got == total_or_containment(brute_force_component_total, p, q), (p, q)
             raised += got == "containment"
         assert raised >= 50
+
+
+def _random_in_box(rng: random.Random, width: int, height: int) -> LatticePolygon:
+    while True:
+        pts = [(rng.randint(0, width), rng.randint(0, height)) for _ in range(rng.randint(3, 6))]
+        poly = LatticePolygon(pts)
+        if poly.dim == 2:
+            return poly
+
+
+_FEW_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
+
+
+def _few_direction_polygon(rng: random.Random) -> LatticePolygon:
+    """A polygon whose edges mostly run along a handful of directions, so
+    that edges of two such polygons are often parallel."""
+    while True:
+        pts = [(0, 0)]
+        for dx, dy in sorted(rng.sample(_FEW_DIRECTIONS, 3)):
+            t = rng.randint(1, 4)
+            pts.append((pts[-1][0] + t * dx, pts[-1][1] + t * dy))
+        poly = LatticePolygon(pts + [(x + rng.randint(0, 2), y) for x, y in pts])
+        if poly.dim == 2:
+            return poly
+
+
+def _crossing_between_rows(p: LatticePolygon, q: LatticePolygon) -> bool:
+    """Whether two event segments cross strictly between two rows."""
+    segs = list(lattice._event_segments(p, q))
+    for i, (a1, b1, k1, lo1, hi1) in enumerate(segs):
+        for a2, b2, k2, lo2, hi2 in segs[i + 1:]:
+            num, det = a1 * k2 - a2 * k1, a1 * b2 - a2 * b1  # the lines meet at my = num / det
+            if det < 0:
+                num, det = -num, -det
+            if det and num % det and max(lo1, lo2) * det < num < min(hi1, hi2) * det:
+                return True
+    return False
+
+
+def _coincident_segments(p: LatticePolygon, q: LatticePolygon) -> bool:
+    """Whether two event segments on one line overlap in more than a row."""
+    by_line: dict = {}
+    for a, b, k, y0, y1 in lattice._event_segments(p, q):
+        by_line.setdefault((a, b, k), []).append((y0, y1))
+    return any(
+        max(r[0], s[0]) < min(r[1], s[1])
+        for spans in by_line.values()
+        for i, r in enumerate(spans)
+        for s in spans[i + 1:]
+    )
+
+
+class TestReuseSweepOracle:
+    """Block counts reused across rows of one signature, against the
+    per-translate sweep, on corpora built to stress the reuse."""
+
+    @staticmethod
+    def _agree(p, q):
+        got = total_or_containment(reduced_component_total, p, q)
+        assert got == total_or_containment(brute_force_component_total, p, q), (p, q)
+        return got
+
+    def test_tall_zones_share_signatures(self, monkeypatch):
+        rows = []
+        counted = lattice._covered_block_count
+
+        def spy(clips, mx, my):
+            rows.append(my)
+            return counted(clips, mx, my)
+
+        rng = random.Random(636)
+        zone_rows = evaluated_rows = 0
+        for _ in range(80):
+            p = _random_in_box(rng, rng.randint(1, 4), rng.randint(40, 120))
+            q = random_polygon(rng, max_coord=rng.choice((2, 3)))
+            rows.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(lattice, "_covered_block_count", spy)
+                self._agree(p, q)
+            evaluated_rows += len(set(rows))
+            _, ymin, _, ymax = minkowski_sum(p, q.reflect()).bounding_box
+            zone_rows += ymax - ymin + 1
+        # most rows reuse every count of the row before
+        assert evaluated_rows * 3 < zone_rows
+
+    def test_near_horizontal_edges_cross_between_rows(self):
+        rng = random.Random(646)
+        crossing = 0
+        for _ in range(150):
+            p = _random_in_box(rng, rng.randint(10, 20), rng.randint(1, 3))
+            q = _random_in_box(rng, rng.randint(5, 12), rng.randint(1, 2))
+            self._agree(p, q)
+            crossing += _crossing_between_rows(p, q)
+        assert crossing >= 100
+
+    def test_coincident_segments_from_parallel_edges(self):
+        rng = random.Random(656)
+        coincident = raised = 0
+        for _ in range(150):
+            p, q = _few_direction_polygon(rng), _few_direction_polygon(rng)
+            raised += self._agree(p, q) == "containment"
+            coincident += _coincident_segments(p, q)
+        assert coincident >= 60
+        assert raised >= 5
+
+
+class TestPickCounts:
+    """Pick's closed form against the scan of the bounding box."""
+
+    @staticmethod
+    def _agree(poly):
+        assert poly.lattice_point_count == brute_force_lattice_count(poly), poly
+        assert poly.interior_lattice_point_count == brute_force_interior_count(poly), poly
+
+    def test_random_polygons(self):
+        rng = random.Random(666)
+        for _ in range(300):
+            self._agree(random_polygon(rng, max_coord=rng.choice((3, 9, 15))))
+
+    def test_far_translated(self):
+        rng = random.Random(676)
+        for _ in range(150):
+            far = 10 ** rng.randint(6, 9)
+            poly = random_polygon(rng, max_coord=9).translate((rng.randint(-far, far), rng.randint(-far, far)))
+            self._agree(poly)
+
+    def test_thin_polygons(self):
+        rng = random.Random(686)
+        for _ in range(150):
+            poly = _random_in_box(rng, rng.randint(1, 2), rng.randint(10, 300))
+            self._agree(poly if rng.random() < 0.5 else poly.apply_unimodular(((0, 1), (1, 0))))
+
+    def test_degenerate(self):
+        for verts in ([(3, 4)], [(0, 0), (6, 4)], [(-2, 5), (-2, 9)]):
+            self._agree(LatticePolygon(verts))
+
+    def test_tall_triangle_counts_at_once(self):
+        # P = conv{(0,0), (1,0), (0,n)} and P + 2Δ = conv{(0,0), (3,0), (2,n), (0,n+2)}
+        def counts(n):
+            p = LatticePolygon([(0, 0), (1, 0), (0, n)])
+            s = minkowski_sum(p, veronese_triangle(2))
+            if n < 40:
+                self._agree(p)
+                self._agree(s)
+            return p.lattice_point_count, p.interior_lattice_point_count, s.lattice_point_count, s.interior_lattice_point_count
+
+        for n in range(1, 40):
+            assert counts(n) == (n + 2, 0, 3 * n + 7, 2 * n - 1)
+        n = 10**12
+        start = time.perf_counter()
+        got = counts(n)
+        assert time.perf_counter() - start < 1.0
+        assert got == (n + 2, 0, 3 * n + 7, 2 * n - 1)
+
+
+class TestDerivedPolygons:
+    """Edge-merge Minkowski sums, reflections and dilations against hulls."""
+
+    def test_against_hulls(self):
+        rng = random.Random(696)
+
+        def draw():
+            c = rng.random()
+            if c < 0.15:  # a point
+                return LatticePolygon([(rng.randint(-5, 5), rng.randint(-5, 5))])
+            if c < 0.35:  # a segment
+                x, y, dx, dy = (rng.randint(-5, 5) for _ in range(4))
+                return LatticePolygon([(x, y), (x + dx * rng.randint(1, 3), y + dy * rng.randint(1, 3))])
+            poly = random_polygon(rng, max_coord=rng.choice((2, 6, 10)))
+            return poly.translate((rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9))) if c > 0.9 else poly
+
+        for _ in range(2000):
+            p, q = draw(), draw()
+            assert minkowski_sum(p, q).vertices == hull_minkowski_sum(p, q).vertices, (p, q)
+            assert p.reflect().vertices == convex_hull([-v for v in p.vertices]).vertices, p
+            k = rng.randint(0, 4)
+            assert dilate(p, k).vertices == convex_hull([v.scaled(k) for v in p.vertices]).vertices, (p, k)
 
 
 class TestExactArcOrder:

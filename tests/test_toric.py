@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 import time
 
 import pytest
@@ -200,6 +202,39 @@ class TestImprovedPipeline:
     def test_rejects_small_degree(self):
         with pytest.raises(ToricTransferError):
             improved_ternary_bound(4)
+
+
+class TestPlanGolden:
+    def test_plans_unchanged(self):
+        # sha1 of the plan JSON of kΔ (k = 3..8), three rectangles and 15
+        # random polygons, computed before the terminal flags were hoisted
+        # out of the candidate passes: the plans and their tie-breaks stay.
+        rng = random.Random(4242)
+        sources = [veronese_triangle(k) for k in range(3, 9)]
+        sources += [rectangle(a, b) for a, b in ((3, 3), (2, 5), (4, 6))]
+        while len(sources) < 24:
+            poly = LatticePolygon([(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(3, 6))])
+            if poly.dim == 2:
+                sources.append(poly)
+        out = json.dumps([plan_to_json_dict(plan_transfer(s)) for s in sources], separators=(",", ":"))
+        assert hashlib.sha1(out.encode()).hexdigest() == "09c40f338b6ddbfc7a866f9d18ca4cf5ae7529af"
+
+
+class TestCaches:
+    def test_caches_bounded_and_hold_a_bound_table(self):
+        from sostransfer import toric
+
+        checks, states = toric._transfer_check_cached, toric._pipeline_from_state
+        assert checks.cache_info().maxsize == 4096
+        assert states.cache_info().maxsize is not None
+        checks.cache_clear()
+        states.cache_clear()
+        table = [improved_ternary_bound(d) for d in range(5, 41)]
+        c, s = checks.cache_info(), states.cache_info()
+        assert c.currsize == c.misses and s.currsize == s.misses  # nothing evicted
+        assert [improved_ternary_bound(d) for d in range(5, 41)] == table
+        assert checks.cache_info().misses == c.misses
+        assert states.cache_info().misses == s.misses
 
 
 class TestSubpolygonEnumeration:
