@@ -1,122 +1,113 @@
-"""Small exact integer/rational linear algebra helpers.
+"""Exact linear algebra on integer lattices.
 
-Kernel bases via unimodular column reduction, linear Diophantine solves,
-rational solves against full-column-rank integer matrices, and enumeration
-of lattice vectors on an affine quadric whose quadratic part is negative
-definite on the relevant hyperplane.  Everything is exact.
+Every integer elimination here is one unimodular column reduction,
+``_column_reduce``: A·U = [H | 0] with U unimodular and H in column echelon
+form.  Kernel bases are the last columns of U, a single linear Diophantine
+equation is solved from H's one pivot, and an integer combination of
+full-column-rank columns is solved pivot by pivot with exact division, so the
+solves of a lattice walk never leave the integers.
+
+The one rational elimination is ``_ldl``, which factors the positive-definite
+part of an affine quadric as LᵀDL; ``solve_quadratic_lattice`` solves the
+quadric's centre from those factors and enumerates its lattice points from
+them.  Fractions occur only in that enumeration; nothing uses floats.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
 
 
-def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[Vec]:
-    """Basis of the saturated integer kernel {x : A x = 0} for A given by rows.
+def _column_reduce(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """A·U = [H | 0] by unimodular column operations, for A given by rows.
 
-    Computed by unimodular column operations; the basis columns therefore
-    span all integer points of the rational kernel.
+    Returns the rows of A·U, the columns of U and the rank r.  Columns r..n-1
+    of A·U are zero, and column j < r has its pivot in a row above which it
+    is zero, the pivot rows increasing with j.
     """
     a = [list(r) for r in rows]
     ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
-    def col_sub(j: int, i: int, q: int) -> None:
-        for row in a:
-            row[j] -= q * row[i]
-        uj, ui = ucols[j], ucols[i]
-        for t in range(n):
-            uj[t] -= q * ui[t]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        ucols[i], ucols[j] = ucols[j], ucols[i]
-
     col = 0
-    for r in range(len(a)):
+    for row in a:
         while True:
-            nz = [j for j in range(col, n) if a[r][j] != 0]
+            nz = [j for j in range(col, n) if row[j] != 0]
             if not nz:
                 break
             if len(nz) == 1:
-                if nz[0] != col:
-                    col_swap(nz[0], col)
+                j = nz[0]
+                if j != col:
+                    for r in a:
+                        r[j], r[col] = r[col], r[j]
+                    ucols[j], ucols[col] = ucols[col], ucols[j]
                 col += 1
                 break
-            j0 = min(nz, key=lambda j: abs(a[r][j]))
+            j0 = min(nz, key=lambda j: abs(row[j]))
+            u0 = ucols[j0]
             for j in nz:
                 if j != j0:
-                    col_sub(j, j0, a[r][j] // a[r][j0])
-    return [tuple(ucols[j]) for j in range(col, n)]
+                    q = row[j] // row[j0]
+                    for r in a:
+                        r[j] -= q * r[j0]
+                    uj = ucols[j]
+                    for t in range(n):
+                        uj[t] -= q * u0[t]
+    return a, ucols, col
+
+
+def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[Vec]:
+    """Basis of the saturated integer kernel {x : A x = 0} for A given by rows.
+
+    The basis columns are unimodular-reduction columns, so they span all
+    integer points of the rational kernel.
+    """
+    _, ucols, rank = _column_reduce(rows, n)
+    return [tuple(u) for u in ucols[rank:]]
 
 
 def solve_single_row(row: Sequence[int], target: int) -> Optional[Vec]:
     """One integer solution of <row, x> = target, or None."""
     n = len(row)
-    # Reduce the row to (g, 0, ..., 0) by the same column-operation machinery.
-    a = [list(row)]
-    ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    while True:
-        nz = [j for j in range(n) if a[0][j] != 0]
-        if not nz:
-            return tuple([0] * n) if target == 0 else None
-        if len(nz) == 1:
-            g = a[0][nz[0]]
-            if target % g != 0:
-                return None
-            q = target // g
-            return tuple(q * ucols[nz[0]][t] for t in range(n))
-        j0 = min(nz, key=lambda j: abs(a[0][j]))
-        for j in nz:
-            if j != j0:
-                quo = a[0][j] // a[0][j0]
-                a[0][j] -= quo * a[0][j0]
-                for t in range(n):
-                    ucols[j][t] -= quo * ucols[j0][t]
+    h, ucols, rank = _column_reduce([row], n)
+    if rank == 0:
+        return tuple([0] * n) if target == 0 else None
+    g = h[0][0]  # ± gcd of the row
+    if target % g != 0:
+        return None
+    return tuple(target // g * x for x in ucols[0])
 
 
 def solve_in_column_span(cols: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[Vec]:
     """Integer y with sum_j y_j * cols[j] = v, for full-column-rank cols.
 
-    Returns None when v is outside the rational span or the rational solution
-    is not integral (cannot happen when cols is a saturated-kernel basis and
-    v lies in the kernel).
+    With A the matrix whose rows are cols, y·A = v is y·[H | 0] = w for
+    w = Uᵀv.  Returns None when w is nonzero past the rank (v is outside the
+    rational span) or when a pivot division is not exact (the rational
+    solution is not integral; this cannot happen when cols is a
+    saturated-kernel basis and v lies in the kernel).
     """
-    n = len(v)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(v[i])] for i in range(n)]
-    pivots = []
-    row = 0
-    for c in range(k):
-        pr = next((r for r in range(row, n) if aug[r][c] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][c]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(c)
-        row += 1
-    # consistency
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    y = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        y[c] = aug[r][k]
-    if any(val.denominator != 1 for val in y):
+    h, ucols, rank = _column_reduce(cols, len(v))
+    w = [sum(map(mul, u, v)) for u in ucols]
+    if any(w[rank:]):
         return None
-    return tuple(int(val) for val in y)
+    k = len(cols)
+    y = [0] * k
+    for j in reversed(range(rank)):
+        p = next(i for i in range(k) if h[i][j] != 0)
+        q, r = divmod(w[j] - sum(y[i] * h[i][j] for i in range(p + 1, k)), h[p][j])
+        if r != 0:
+            return None
+        y[p] = q
+    return tuple(y)
 
 
 def _ldl(a: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """A = LᵀDL for positive-definite A: the diagonal of D, and L above its
+    unit diagonal (lmat[i][j] for j > i; the stored diagonal is zero)."""
     k = len(a)
     m = [row[:] for row in a]
     d = [Fraction(0)] * k
@@ -134,18 +125,29 @@ def _ldl(a: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]
     return d, lmat
 
 
+def _ldl_solve(d: list[Fraction], lmat: list[list[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
+    """h with A h = b for A = LᵀDL given by its ``_ldl`` factors."""
+    k = len(d)
+    u: list[Fraction] = []
+    for i in range(k):
+        u.append(b[i] - sum(lmat[j][i] * u[j] for j in range(i)))
+    h = [ui / di for ui, di in zip(u, d)]
+    for i in reversed(range(k)):
+        h[i] -= sum(lmat[i][j] * h[j] for j in range(i + 1, k))
+    return h
+
+
 def enumerate_quadric_points(
-    a_pd: list[list[Fraction]],
+    d: list[Fraction],
+    lmat: list[list[Fraction]],
     center: list[Fraction],
     radius: Fraction,
 ) -> list[Vec]:
-    """All integer y with (y - center)^T A (y - center) = radius, A positive definite."""
-    k = len(a_pd)
-    if k == 0:
-        return [()] if radius == 0 else []
+    """All integer y with (y - center)ᵀ A (y - center) = radius, for
+    positive-definite A given by its ``_ldl`` factors."""
+    k = len(d)
     if radius < 0:
         return []
-    d, lmat = _ldl(a_pd)
     out: list[Vec] = []
     z = [Fraction(0)] * k  # z_j = y_j - center_j for chosen levels
 
@@ -206,31 +208,16 @@ def solve_quadratic_lattice(
     w = [Fraction(pair(bcols[i], x0)) for i in range(k)]
     # x = x0 + B y ; x.G.x = c0 + 2 w.y - y.A.y = square
     # => y.A.y - 2 w.y + (square - c0) = 0 ; complete the square at h = A^{-1} w
-    h = _solve_pd(a_pd, w)
+    d, lmat = _ldl(a_pd)
+    h = _ldl_solve(d, lmat, w)
     r = sum(h[i] * w[i] for i in range(k)) - Fraction(square - c0)
-    ys = enumerate_quadric_points(a_pd, h, r)
+    ys = enumerate_quadric_points(d, lmat, h, r)
     out = []
     for y in ys:
         x = tuple(x0[i] + sum(y[j] * bcols[j][i] for j in range(k)) for i in range(n))
         out.append(x)
     out.sort()
     return out
-
-
-def _solve_pd(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve A h = b for positive-definite A by Gaussian elimination."""
-    k = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for c in range(k):
-        pr = next(r for r in range(c, k) if m[r][c] != 0)
-        m[c], m[pr] = m[pr], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for r in range(k):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [m[i][k] for i in range(k)]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -246,23 +233,3 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def rank_of(matrix: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(n_cols):
-        pr = next((r for r in range(rank, n_rows) if rows[r][c] != 0), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank

@@ -124,7 +124,7 @@ def _cmd_toric_check(args) -> int:
 def _cmd_toric_plan(args) -> int:
     p = parse_polygon(args.p, args.strict)
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    plan = toric.plan_transfer(p, families=families, objective=args.objective)
+    plan = toric.plan_transfer(p, families=families)
     if args.json:
         _emit_json(toric.plan_to_json_dict(plan))
     else:
@@ -268,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("toric-plan", help="search a multi-step transfer plan")
     sp.add_argument("--p", required=True)
     sp.add_argument("--families", default="trapezoids,rectangles,prisms,veronese")
-    sp.add_argument("--objective", default="min_total_degree", choices=["min_total_degree", "min_steps"])
     common(sp, polygons=True)
     sp.set_defaults(func=_cmd_toric_plan)
 

@@ -10,8 +10,10 @@ inequality at every ample step.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -20,7 +22,6 @@ from ._intlinalg import (
     kernel_basis,
     mat_mul,
     mat_vec,
-    rank_of,
     solve_in_column_span,
     solve_quadratic_lattice,
 )
@@ -175,17 +176,9 @@ class SurfaceModel:
         return tuple(ConicBundle(b, kind) for b in conic_bundle_classes(self) if self.tau_image(b) == b)
 
     @property
-    def extremal_curves(self) -> tuple[Divisor, ...]:
-        """Cached extremal test classes of the cone of curves."""
-        return cone_generators(self)
-
-    @property
     def real_rank(self) -> int:
-        diff = tuple(
-            tuple(self.tau[i][j] - (1 if i == j else 0) for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        return self.rank - rank_of(diff)
+        diff = [[t - (1 if i == j else 0) for j, t in enumerate(row)] for i, row in enumerate(self.tau)]
+        return len(kernel_basis(diff, self.rank))
 
     def validate(self) -> None:
         n = self.rank
@@ -271,17 +264,8 @@ def _quadric_model(kind: str, two_b: int) -> SurfaceModel:
     labels = ("L1", "L2") + tuple(f"E{i}" for i in range(1, two_b + 1))
     gram = _quadric_gram(two_b)
     k = (-2, -2) + (1,) * two_b
-    n = two_b + 2
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if kind == "Q31":
-        t[0][0] = t[1][1] = 0
-        t[0][1] = t[1][0] = 1
-    i = 2
-    while i + 1 < n:
-        t[i][i] = t[i + 1][i + 1] = 0
-        t[i][i + 1] = t[i + 1][i] = 1
-        i += 2
-    return SurfaceModel(name, 8 - two_b, labels, gram, k, tuple(tuple(row) for row in t))
+    tau = _swap_pairs_tau(two_b + 2, 0 if kind == "Q31" else 2)
+    return SurfaceModel(name, 8 - two_b, labels, gram, k, tau)
 
 
 def _de_jonquieres_model(extra_real_point: bool) -> SurfaceModel:
@@ -323,8 +307,6 @@ def _build_surface(name: str) -> SurfaceModel:
         return _de_jonquieres_model(False)
     if name == "D(1,0)":
         return _de_jonquieres_model(True)
-    import re
-
     m = re.fullmatch(r"P2\((\d+),(\d+)\)", name)
     if m:
         a, two_b = int(m.group(1)), int(m.group(2))
@@ -425,8 +407,6 @@ def conic_bundles_real(s: SurfaceModel) -> tuple[ConicBundle, ...]:
 
 
 def _primitive(d: Divisor) -> Divisor:
-    from math import gcd
-
     g = 0
     for x in d:
         g = gcd(g, abs(x))
@@ -807,14 +787,6 @@ class DelPezzoTransfer:
         """Number of multiplier steps (curve subtractions and ample steps)."""
         return sum(1 for st in self.steps if st.kind in ("subtract_negative_curve", "ample_step"))
 
-    def anticanonical_trace(self) -> list[int]:
-        """-K.D before each multiplier step and at the terminal."""
-        out = []
-        for st in self.steps:
-            if st.kind in ("subtract_negative_curve", "ample_step", "terminal"):
-                out.append(st.check["minus_K_dot"] if st.check else 0)
-        return out
-
 
 def certificate_kind(name: str) -> str:
     if name in _TWO_INTERVAL_SURFACES:
@@ -921,7 +893,7 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
                         f"{surf.name}: nef-not-ample divisor with no contractible curve"
                     )
                 spec = min(zero_pairs)
-            contraction = contract_along(surf, spec if len(spec) > 1 else spec[0])
+            contraction = contract_along(surf, spec)
             nxt = contraction.push(cur)
             steps.append(
                 TransferStep(
@@ -954,28 +926,6 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
         terminal_kind=terminal_kind,
         certificate_kind=certificate_kind(start_name),
     )
-
-
-# -- randomized effective divisors (test/demo support) --------------------------
-
-
-def random_effective_divisor(s: SurfaceModel, rng, max_coeff: int = 2) -> Divisor:
-    """A nonzero real effective divisor: a random nonnegative combination of
-    negative curves and conic bundles, symmetrized under conjugation."""
-    pool = list(minus_one_curves(s)) + list(conic_bundle_classes(s))
-    if not pool:
-        pool = [s.minus_K]
-    n = s.rank
-    for _ in range(100):
-        total = (0,) * n
-        for cls in pool:
-            coeff = rng.randint(0, max_coeff) if rng.random() < 0.3 else 0
-            if coeff:
-                total = tuple(t + coeff * x for t, x in zip(total, cls))
-        total = _vec_add(total, s.tau_image(total))
-        if any(total):
-            return total
-    return _vec_add(s.minus_K, s.minus_K)
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -132,10 +132,6 @@ class LatticePolygon:
         n = len(self.vertices)
         return 2 if n >= 3 else n - 1
 
-    @property
-    def is_full_dimensional(self) -> bool:
-        return self.dim == 2
-
     @cached_property
     def twice_area(self) -> int:
         v = self.vertices

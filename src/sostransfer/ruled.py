@@ -264,15 +264,19 @@ def _schedule_ok(data: RuledData, d: int) -> bool:
         return False
 
 
-def minimal_d(data: RuledData, window: int = 10) -> int:
-    """Smallest d such that schedules exist for every degree in [d, d+window].
+#: minimal_d asks for schedules on this many degrees past the first.
+_MINIMAL_D_WINDOW = 10
+
+
+def minimal_d(data: RuledData) -> int:
+    """Smallest d such that schedules exist for every degree in [d, d+10].
 
     The window guards against non-monotone boundary effects near the first
     working degree; margins grow linearly in d, so a threshold exists.
     """
 
     def pred(d: int) -> bool:
-        return all(_schedule_ok(data, dd) for dd in range(d, d + window + 1))
+        return all(_schedule_ok(data, dd) for dd in range(d, d + _MINIMAL_D_WINDOW + 1))
 
     hi = 1
     while not pred(hi):
@@ -301,7 +305,7 @@ class DegreeBound:
     steps_quoted: int  # the looser (t+2)(d-d0) step count quoted alongside the chain
 
 
-def multiplier_degree_bound(data: RuledData, d: int, d0: int, check_minimal: bool = True) -> DegreeBound:
+def multiplier_degree_bound(data: RuledData, d: int, d0: int) -> DegreeBound:
     """Exact total H-degree of the multiplier chain from dH down to d0 H.
 
     Every level delta in (d0, d] is transferred by its own validated
@@ -313,10 +317,9 @@ def multiplier_degree_bound(data: RuledData, d: int, d0: int, check_minimal: boo
     """
     if d < d0:
         raise ScheduleError("d must be at least d0")
-    if check_minimal:
-        dmin = minimal_d(data)
-        if d0 < dmin:
-            raise ScheduleError(f"d0 below the minimal applicable degree {dmin}")
+    dmin = minimal_d(data)
+    if d0 < dmin:
+        raise ScheduleError(f"d0 below the minimal applicable degree {dmin}")
     schedules = []
     running = 0
     steps = 0

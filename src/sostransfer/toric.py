@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from functools import cmp_to_key, lru_cache
+from math import gcd
+from typing import Callable, Iterator, Optional, Sequence
 
 from .lattice import (
     LatticePolygon,
@@ -199,29 +200,52 @@ def _is_terminal(q: LatticePolygon) -> Optional[str]:
     return None
 
 
+# -- chain descent -------------------------------------------------------------
+
+
+def _descend(
+    source: LatticePolygon,
+    next_step: Callable[[LatticePolygon], Optional[PlanStep]],
+    context: str,
+) -> TransferPlan:
+    """The validated chain from source that next_step builds, one step per
+    state, down to a terminal polygon; the total is in context's units.
+
+    next_step returns None when no step passes; NoPlanError then carries the
+    chain so far, as it does when the chain reaches 10,000 steps.
+    """
+    steps: list[PlanStep] = []
+    cur = source
+    while (kind := _is_terminal(cur)) is None:
+        if len(steps) >= 10_000:
+            raise NoPlanError("no plan: search did not terminate", steps)
+        step = next_step(cur)
+        if step is None:
+            raise NoPlanError("no plan", steps)
+        steps.append(step)
+        cur = step.q
+    total = sum(step_multiplier_degree(s.q, context) for s in steps)
+    plan = TransferPlan(tuple(steps), cur, kind, total)
+    plan.validate()
+    return plan
+
+
 # -- classic pipeline ----------------------------------------------------------
+
+
+def _classic_step(cur: LatticePolygon) -> PlanStep:
+    q = veronese_triangle(ternary_degree(cur) - 2)
+    verdict = transfer_check(cur, q)
+    if not verdict.holds:
+        raise PipelineStepError("classic step failed", cur, q, verdict)
+    return PlanStep(cur, q, verdict, note="classic")
 
 
 def hilbert_classic_plan(d: int) -> TransferPlan:
     """The classic chain dΔ -> (d-2)Δ -> ... down to Δ or 2Δ, each step checked."""
     if d < 3:
         raise ToricTransferError("classic plan needs degree at least 3")
-    steps: list[PlanStep] = []
-    cur = d
-    while _is_terminal(veronese_triangle(cur)) is None:
-        nxt = cur - 2
-        p, q = veronese_triangle(cur), veronese_triangle(nxt)
-        verdict = transfer_check(p, q)
-        if not verdict.holds:
-            raise PipelineStepError("classic step failed", p, q, verdict)
-        steps.append(PlanStep(p, q, verdict, note="classic"))
-        cur = nxt
-    terminal = veronese_triangle(cur)
-    kind = _is_terminal(terminal)
-    total = sum(step_multiplier_degree(s.q, "ternary") for s in steps)
-    plan = TransferPlan(tuple(steps), terminal, kind, total)
-    plan.validate()
-    return plan
+    return _descend(veronese_triangle(d), _classic_step, "ternary")
 
 
 # -- improved ternary pipeline -------------------------------------------------
@@ -250,19 +274,17 @@ def _closing_candidates(dmax: int) -> list[LatticePolygon]:
 
 
 @lru_cache(maxsize=2048)
-def _pipeline_from_state(d: int, m: int) -> tuple[PlanStep, ...]:
-    """Steps of the corner-biting pipeline from the trapezoid state T(d, m).
+def _pipeline_step(d: int, m: int) -> PlanStep:
+    """The corner-biting pipeline's step from the trapezoid state T(d, m).
 
     Bites take the largest corner cut whose geometric check passes (probed a
     little above the h-free closed-form bound); degree drops go three at a
     time while the cut lasts; once the degree is small a direct step onto a
-    prism or twice the unit triangle closes the chain.  States are memoized
-    in a bounded LRU, so the chains of nearby degrees share their tails.
+    prism or twice the unit triangle closes the chain.  Steps are memoized
+    per state in a bounded LRU, so the chains of nearby degrees share their
+    tails.
     """
     cur = trapezoid(d, m)
-    if _is_terminal(cur) is not None:
-        return ()
-    steps: Optional[tuple[PlanStep, ...]] = None
     if d <= _CLOSE_AT_OR_BELOW:
         for cand in _closing_candidates(d):
             try:
@@ -270,30 +292,27 @@ def _pipeline_from_state(d: int, m: int) -> tuple[PlanStep, ...]:
             except TranslateContainmentError:
                 continue
             if verdict.holds:
-                steps = (PlanStep(cur, cand, verdict, note="close"),)
-                break
-    if steps is None and m < 3:
+                return PlanStep(cur, cand, verdict, note="close")
+    if m < 3:
         m_formula = m
         for m2 in range(m + 1, d):
             if _trapezoid_pair_margin0(d, m, d, m2) > 0:
                 m_formula = m2
-        chosen = None
         for m2 in range(min(d - 1, m_formula + _BITE_PROBE_SLACK), m, -1):
             verdict = transfer_check(cur, trapezoid(d, m2))
             if verdict.holds:
-                chosen = (m2, verdict)
-                break
-        if chosen is None:
-            raise PipelineStepError(f"no corner bite passes at T({d},{m})", cur)
-        m2, verdict = chosen
-        steps = (PlanStep(cur, trapezoid(d, m2), verdict, note="bite"),) + _pipeline_from_state(d, m2)
-    elif steps is None:
-        q = trapezoid(d - 3, m - 3)
-        verdict = transfer_check(cur, q)
-        if not verdict.holds:
-            raise PipelineStepError(f"degree-drop step failed at T({d},{m})", cur, q, verdict)
-        steps = (PlanStep(cur, q, verdict, note="reduce"),) + _pipeline_from_state(d - 3, m - 3)
-    return steps
+                return PlanStep(cur, trapezoid(d, m2), verdict, note="bite")
+        raise PipelineStepError(f"no corner bite passes at T({d},{m})", cur)
+    q = trapezoid(d - 3, m - 3)
+    verdict = transfer_check(cur, q)
+    if not verdict.holds:
+        raise PipelineStepError(f"degree-drop step failed at T({d},{m})", cur, q, verdict)
+    return PlanStep(cur, q, verdict, note="reduce")
+
+
+def _trapezoid_step(cur: LatticePolygon) -> PlanStep:
+    _, _, d, height = cur.bounding_box  # cur is T(d, d - height)
+    return _pipeline_step(d, d - height)
 
 
 def improved_ternary_bound(d: int) -> tuple[TransferPlan, int]:
@@ -306,17 +325,8 @@ def improved_ternary_bound(d: int) -> tuple[TransferPlan, int]:
     """
     if d < 5:
         raise ToricTransferError("improved pipeline needs degree at least 5")
-    steps = _pipeline_from_state(d, 0)
-    if not steps:
-        raise ToricTransferError("pipeline produced no steps")
-    terminal = steps[-1].q
-    kind = _is_terminal(terminal)
-    if kind is None:
-        raise PipelineStepError("pipeline terminal is not minimal-degree", terminal)
-    full_total = sum(step_multiplier_degree(s.q, "ternary") for s in steps)
-    plan = TransferPlan(steps, terminal, kind, full_total)
-    plan.validate()
-    return plan, full_total // 2
+    plan = _descend(trapezoid(d, 0), _trapezoid_step, "ternary")
+    return plan, plan.total_multiplier_degree // 2
 
 
 # -- generic planner -----------------------------------------------------------
@@ -371,11 +381,40 @@ def _family_candidates(cur: LatticePolygon, families: Sequence[str], context: st
     return out
 
 
+def _greedy_step(cur: LatticePolygon, families: Sequence[str], ctx: str) -> Optional[PlanStep]:
+    """The planner's step from cur: a passing terminal candidate if any,
+    else any passing candidate; the cheapest, then the largest margin, then
+    the smallest canonical vertex list."""
+    candidates = _family_candidates(cur, families, ctx)
+    candidates.sort(key=lambda q: (step_multiplier_degree(q, ctx), q.vertices))
+    terminal = [_is_terminal(q) is not None for q in candidates]
+    for terminal_only in (True, False):
+        pool = [q for q, t in zip(candidates, terminal) if t == terminal_only]
+        level: Optional[int] = None
+        best: Optional[tuple[tuple[int, tuple], LatticePolygon, TransferVerdict]] = None
+        for q in pool:
+            deg = step_multiplier_degree(q, ctx)
+            if level is not None and deg > level:
+                break
+            try:
+                verdict = transfer_check(cur, q)
+            except TranslateContainmentError:
+                continue
+            if not verdict.holds:
+                continue
+            key = ((-verdict.margin), q.vertices)
+            if level is None:
+                level = deg
+            if best is None or key < best[0]:
+                best = (key, q, verdict)
+        if best is not None:
+            return PlanStep(cur, best[1], best[2])
+    return None
+
+
 def plan_transfer(
     p: LatticePolygon,
     families: Sequence[str] = ("trapezoids", "rectangles", "prisms", "veronese"),
-    objective: str = "min_total_degree",
-    context: Optional[str] = None,
 ) -> TransferPlan:
     """Greedy chain search over parametric candidate families.
 
@@ -384,70 +423,23 @@ def plan_transfer(
     taken.  Ties break toward larger margin, then the lexicographically
     smallest canonical vertex list, so plans are reproducible.
     """
-    if objective not in ("min_total_degree", "min_steps"):
-        raise ToricTransferError(f"unknown objective {objective!r}")
     if not families:
         raise ToricTransferError("candidate families must be nonempty")
     if p.dim != 2:
         raise DegeneratePolygonError("plan source must be full-dimensional")
-    ctx = context or _infer_context(p)
-    steps: list[PlanStep] = []
-    cur = p
-    guard = 0
-    while _is_terminal(cur) is None:
-        guard += 1
-        if guard > 10_000:
-            raise NoPlanError("no plan: search did not terminate", steps)
-        candidates = _family_candidates(cur, families, ctx)
-        candidates.sort(key=lambda q: (step_multiplier_degree(q, ctx), q.vertices))
-        terminal = [_is_terminal(q) is not None for q in candidates]
-        chosen: Optional[tuple[LatticePolygon, TransferVerdict]] = None
-        for terminal_only in (True, False):
-            pool = [q for q, t in zip(candidates, terminal) if t == terminal_only]
-            level: Optional[int] = None
-            best: Optional[tuple[tuple[int, tuple], LatticePolygon, TransferVerdict]] = None
-            for q in pool:
-                deg = step_multiplier_degree(q, ctx)
-                if level is not None and deg > level:
-                    break
-                try:
-                    verdict = transfer_check(cur, q)
-                except TranslateContainmentError:
-                    continue
-                if not verdict.holds:
-                    continue
-                key = ((-verdict.margin), q.vertices)
-                if level is None:
-                    level = deg
-                if best is None or key < best[0]:
-                    best = (key, q, verdict)
-            if best is not None:
-                chosen = (best[1], best[2])
-                break
-        if chosen is None:
-            raise NoPlanError("no plan", steps)
-        q, verdict = chosen
-        steps.append(PlanStep(cur, q, verdict))
-        cur = q
-    kind = _is_terminal(cur)
-    total = sum(step_multiplier_degree(s.q, ctx) for s in steps)
-    plan = TransferPlan(tuple(steps), cur, kind, total)
-    plan.validate()
-    return plan
+    ctx = _infer_context(p)
+    return _descend(p, lambda cur: _greedy_step(cur, families, ctx), ctx)
 
 
 # -- exhaustive enumeration of small convex polygons ---------------------------
 
 
 def _angular_sorted_primitive_dirs(k: int) -> list[tuple[int, int]]:
-    from math import gcd as _g
-
     dirs = set()
     for x in range(-k, k + 1):
         for y in range(-k, k + 1):
-            if (x, y) != (0, 0) and _g(abs(x), abs(y)) == 1:
+            if (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1:
                 dirs.add((x, y))
-    import functools
 
     def cmp(a, b):
         ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
@@ -457,7 +449,7 @@ def _angular_sorted_primitive_dirs(k: int) -> list[tuple[int, int]]:
         cr = a[0] * b[1] - a[1] * b[0]
         return -1 if cr > 0 else (1 if cr < 0 else 0)
 
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
+    return sorted(dirs, key=cmp_to_key(cmp))
 
 
 def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:

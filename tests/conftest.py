@@ -11,6 +11,7 @@ from operator import mul
 import pytest
 
 from sostransfer._intlinalg import mat_mul, mat_vec, solve_quadratic_lattice
+from sostransfer.delpezzo import conic_bundle_classes, minus_one_curves
 from sostransfer.lattice import (
     DegeneratePolygonError,
     LatticePolygon,
@@ -389,3 +390,85 @@ def plain_marked_isometry(gram_s, k_s, tau_s, dst):
         return None
 
     return backtrack(0)
+
+
+def random_effective_divisor(s, rng, max_coeff: int = 2) -> tuple[int, ...]:
+    """A nonzero real effective divisor: a random nonnegative combination of
+    negative curves and conic bundles, symmetrized under conjugation."""
+    pool = list(minus_one_curves(s)) + list(conic_bundle_classes(s))
+    if not pool:
+        pool = [s.minus_K]
+    n = s.rank
+    for _ in range(100):
+        total = (0,) * n
+        for cls in pool:
+            coeff = rng.randint(0, max_coeff) if rng.random() < 0.3 else 0
+            if coeff:
+                total = tuple(t + coeff * x for t, x in zip(total, cls))
+        total = tuple(a + b for a, b in zip(total, s.tau_image(total)))
+        if any(total):
+            return total
+    return tuple(2 * x for x in s.minus_K)
+
+
+# -- linear algebra oracles --------------------------------------------------------
+
+
+def fraction_column_solve(cols, v):
+    """The rational y with sum_j y_j * cols[j] = v, by Fraction Gauss-Jordan
+    elimination on the augmented matrix (free variables zero), or None when
+    v is outside the rational span."""
+    n = len(v)
+    k = len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(v[i])] for i in range(n)]
+    pivots = []
+    row = 0
+    for c in range(k):
+        pr = next((r for r in range(row, n) if aug[r][c] != 0), None)
+        if pr is None:
+            continue
+        aug[row], aug[pr] = aug[pr], aug[row]
+        pv = aug[row][c]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(c)
+        row += 1
+    if any(aug[r][k] != 0 for r in range(row, n)):
+        return None
+    y = [Fraction(0)] * k
+    for r, c in enumerate(pivots):
+        y[c] = aug[r][k]
+    return y
+
+
+def fraction_solve_in_column_span(cols, v):
+    """Integer y with sum_j y_j * cols[j] = v, or None: the rational
+    solution, kept only when it is integral."""
+    y = fraction_column_solve(cols, v)
+    if y is None or any(val.denominator != 1 for val in y):
+        return None
+    return tuple(int(val) for val in y)
+
+
+def fraction_rank(matrix) -> int:
+    """Rank by Fraction Gauss-Jordan elimination."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(n_cols):
+        pr = next((r for r in range(rank, n_rows) if rows[r][c] != 0), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        pv = rows[rank][c]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(n_rows):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

@@ -8,11 +8,11 @@ import json
 import random
 import time
 
+from conftest import random_effective_divisor
 from sostransfer.cli import run as cli_run
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
     catalogue,
-    random_effective_divisor,
     real_negative_curves,
     surface_from_name,
     transfer_sequence,

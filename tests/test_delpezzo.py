@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import random_effective_divisor
 from sostransfer._intlinalg import mat_mul
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
@@ -23,7 +24,6 @@ from sostransfer.delpezzo import (
     is_ample,
     is_nef,
     minus_one_curves,
-    random_effective_divisor,
     real_negative_curves,
     reduce_to_nef,
     surface_from_name,

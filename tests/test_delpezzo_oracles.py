@@ -19,9 +19,10 @@ from conftest import (
     dense_is_ample,
     dense_is_nef,
     dense_tau_image,
+    fraction_solve_in_column_span,
     plain_marked_isometry,
+    random_effective_divisor,
 )
-from sostransfer._intlinalg import solve_in_column_span
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
     DelPezzoError,
@@ -31,7 +32,6 @@ from sostransfer.delpezzo import (
     contract_along,
     is_ample,
     is_nef,
-    random_effective_divisor,
     real_negative_curves,
     surface_from_name,
     transfer_sequence,
@@ -96,8 +96,8 @@ def _image_lattice(s, con):
     k_shift = list(s.K)
     for c in con.contracted:
         k_shift = [a - b for a, b in zip(k_shift, c)]
-    k2 = solve_in_column_span(basis, k_shift)
-    cols = [solve_in_column_span(basis, dense_tau_image(s, b)) for b in basis]
+    k2 = fraction_solve_in_column_span(basis, k_shift)
+    cols = [fraction_solve_in_column_span(basis, dense_tau_image(s, b)) for b in basis]
     tau2 = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
     return gram2, k2, tau2
 

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
+from conftest import fraction_column_solve, fraction_rank, fraction_solve_in_column_span
 from sostransfer._intlinalg import (
+    _ldl,
+    _ldl_solve,
     enumerate_quadric_points,
     kernel_basis,
-    rank_of,
     solve_in_column_span,
     solve_quadratic_lattice,
     solve_single_row,
@@ -30,7 +32,7 @@ def test_kernel_basis_randomized():
         basis = kernel_basis(rows, n)
         for b in basis:
             assert all(sum(row[i] * b[i] for i in range(n)) == 0 for row in rows)
-        assert len(basis) == n - rank_of(rows)
+        assert len(basis) == n - fraction_rank(rows)
         for _ in range(4):
             v = tuple(rng.randint(-3, 3) for _ in range(n))
             if basis and all(sum(row[i] * v[i] for i in range(n)) == 0 for row in rows):
@@ -112,6 +114,55 @@ def test_quadric_points_on_exact_boundaries():
             z = [yi - ci for yi, ci in zip(y, c)]
             if sum(z[i] * a[i][j] * z[j] for i in range(k) for j in range(k)) == radius:
                 brute.add(y)
-        got = enumerate_quadric_points(a, c, radius)
+        got = enumerate_quadric_points(*_ldl(a), c, radius)
         assert tuple(y0) in brute
         assert len(got) == len(set(got)) and set(got) == brute
+
+
+def _full_rank_columns(rng, n, k):
+    while True:
+        cols = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+        if fraction_rank(cols) == k:
+            return cols
+
+
+def test_solve_in_column_span_matches_fraction_oracle():
+    # Full-column-rank systems whose right-hand side has an integral
+    # solution, only a non-integral one, or (mostly) none at all.
+    rng = random.Random(45)
+    seen = dict.fromkeys(("integral", "non_integral", "inconsistent"), 0)
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        cols = _full_rank_columns(rng, n, k)
+        kind = rng.choice(sorted(seen))
+        y = [rng.randint(-4, 4) for _ in range(k)]
+        if kind == "non_integral":
+            # scale column j by s and give it the coefficient c/s, s not dividing c
+            j, s = rng.randrange(k), rng.randint(2, 4)
+            cols[j] = tuple(s * x for x in cols[j])
+            y[j] = Fraction(s * rng.randint(-3, 3) + rng.randint(1, s - 1), s)
+        v = tuple(int(sum(y[j] * cols[j][i] for j in range(k))) for i in range(n))
+        if kind == "inconsistent":
+            v = tuple(rng.randint(-6, 6) for _ in range(n))
+        got = solve_in_column_span(cols, v)
+        assert got == fraction_solve_in_column_span(cols, v)
+        if kind == "integral":
+            assert got == tuple(y)
+        elif kind == "non_integral":
+            assert got is None
+        elif fraction_column_solve(cols, v) is not None:
+            continue
+        seen[kind] += 1
+    assert min(seen.values()) > 100
+
+
+def test_ldl_centre_solve_matches_fraction_solve():
+    rng = random.Random(46)
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        # MᵀM + I is positive definite
+        a = [[Fraction(sum(m[t][i] * m[t][j] for t in range(k)) + (i == j)) for j in range(k)] for i in range(k)]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(k)]
+        assert _ldl_solve(*_ldl(a), b) == fraction_column_solve([[row[j] for row in a] for j in range(k)], b)

@@ -16,7 +16,9 @@ from sostransfer.lattice import (
     reduced_component_total,
     veronese_triangle,
 )
+from sostransfer import toric
 from sostransfer.toric import (
+    NoPlanError,
     PipelineStepError,
     ToricTransferError,
     TransferVerdict,
@@ -180,6 +182,29 @@ class TestPlanner:
         two = plan_transfer(veronese_triangle(6), families=("trapezoids", "prisms", "veronese"))
         assert one == two
 
+    def test_no_plan_keeps_partial_chain(self, monkeypatch):
+        # the squares chain 4 -> 3 -> 2 -> 1, with every check from the 2x2
+        # square made to fail: the error carries the two steps that passed
+        full = plan_transfer(rectangle(4, 4), families=("squares",))
+        real_check = toric.transfer_check
+
+        def check(p, q):
+            v = real_check(p, q)
+            if p != rectangle(2, 2):
+                return v
+            return TransferVerdict(v.count_2Q, v.h, v.count_2Q + v.h, False, 0)
+
+        monkeypatch.setattr(toric, "transfer_check", check)
+        with pytest.raises(NoPlanError) as err:
+            plan_transfer(rectangle(4, 4), families=("squares",))
+        assert err.value.partial_steps == full.steps[:2]
+        assert [s.q for s in err.value.partial_steps] == [rectangle(3, 3), rectangle(2, 2)]
+
+    def test_no_plan_without_any_step(self):
+        with pytest.raises(NoPlanError) as err:
+            plan_transfer(veronese_triangle(6), families=("squares",))
+        assert err.value.partial_steps == ()
+
 
 class TestImprovedPipeline:
     def test_degree_five_closes_with_prism(self):
@@ -220,11 +245,24 @@ class TestPlanGolden:
         assert hashlib.sha1(out.encode()).hexdigest() == "09c40f338b6ddbfc7a866f9d18ca4cf5ae7529af"
 
 
+class TestPipelineGolden:
+    # sha1 of the plan JSON, computed before the three chain loops became
+    # step rules of one descent loop
+    def test_classic_plans_unchanged(self):
+        out = json.dumps([plan_to_json_dict(hilbert_classic_plan(d)) for d in range(3, 61)], separators=(",", ":"))
+        assert hashlib.sha1(out.encode()).hexdigest() == "e9740b090896b5590ae90f7f6d4537f4008e73cb"
+
+    def test_improved_plans_unchanged(self):
+        table = [[plan_to_json_dict(plan), total] for plan, total in map(improved_ternary_bound, range(5, 61))]
+        out = json.dumps(table, separators=(",", ":"))
+        assert hashlib.sha1(out.encode()).hexdigest() == "336a970900c7ed892031b4dccc8aa9838097f6ad"
+
+
 class TestCaches:
     def test_caches_bounded_and_hold_a_bound_table(self):
         from sostransfer import toric
 
-        checks, states = toric._transfer_check_cached, toric._pipeline_from_state
+        checks, states = toric._transfer_check_cached, toric._pipeline_step
         assert checks.cache_info().maxsize == 4096
         assert states.cache_info().maxsize is not None
         checks.cache_clear()
