@@ -17,7 +17,6 @@ from .lattice import (
     difference_components,
     dilate,
     interior_lattice_point_count,
-    is_lattice_equivalent,
     is_lawrence_prism,
     is_twice_unit_triangle,
     lattice_point_count,

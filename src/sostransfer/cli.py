@@ -2,9 +2,10 @@
 
 Reads polygon, surface, and ruled-surface data, dispatches to the library,
 and emits either human-readable tables or JSON.  Exit codes: 0 on success,
-1 on malformed input, 2 when a criterion or algorithm is inapplicable to
-the given input (for example translate containment or a non-effective
-divisor) - inapplicability is not a negative verdict.
+1 on malformed input or a polygon pair too tall to sweep, 2 when a
+criterion or algorithm is inapplicable to the given input (for example
+translate containment or a non-effective divisor) - inapplicability is not
+a negative verdict.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ import sys
 from typing import Sequence
 
 from . import delpezzo, ruled, toric
-from .lattice import (
-    LatticeGeometryError,
-    LatticePolygon,
-    TranslateContainmentError,
-)
+from .lattice import LatticePolygon, TranslateContainmentError
 
 logger = logging.getLogger("sostransfer")
 
@@ -31,14 +28,6 @@ _INAPPLICABLE = (
     delpezzo.NotConjugationFixedError,
     toric.NoPlanError,
     ruled.ScheduleError,
-)
-
-_INPUT_ERRORS = (
-    LatticeGeometryError,
-    delpezzo.DelPezzoError,
-    toric.ToricTransferError,
-    ruled.RuledDataError,
-    ValueError,
 )
 
 
@@ -349,7 +338,7 @@ def run(argv: Sequence[str]) -> int:
     except _INAPPLICABLE as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
-    except _INPUT_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ inequality at every ample step.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
@@ -138,18 +138,6 @@ class SurfaceModel:
         return gens, tuple(self.pairing_row(c) for c in gens)
 
     @cached_property
-    def _real_negative_curves(self) -> tuple[tuple[Divisor, ...], tuple[tuple[Divisor, Divisor], ...]]:
-        reals = []
-        pairs = []
-        for c in minus_one_curves(self):
-            tc = self.tau_image(c)
-            if tc == c:
-                reals.append(c)
-            elif c < tc and self.intersect(c, tc) == 0:
-                pairs.append((c, tc))
-        return tuple(reals), tuple(pairs)
-
-    @cached_property
     def _subtractions(self) -> tuple[tuple[Divisor, Optional[tuple[Divisor, ...]]], ...]:
         """For each (-1)-curve C in sorted order: its pairing row and the class
         a non-nef divisor meeting C negatively loses (C when C is real, C and
@@ -167,8 +155,43 @@ class SurfaceModel:
         return tuple(out)
 
     @cached_property
+    def _real_negative_curves(self) -> tuple[tuple[Divisor, ...], tuple[tuple[Divisor, Divisor], ...]]:
+        witnesses = [w for _, w in self._subtractions if w is not None]
+        reals = tuple(w[0] for w in witnesses if len(w) == 1)
+        return reals, tuple(w for w in witnesses if len(w) == 2 and w[0] < w[1])
+
+    @cached_property
     def _ample_step_classes(self) -> tuple[Divisor, Divisor, Divisor, bool, bool]:
-        return _ample_step_classes(self)
+        """The classes C, N, M of every ample step on the surface, with the
+        nefness of N and M."""
+        zero = (0,) * self.rank
+        minus_k = self.minus_K
+        if self.degree == 9:
+            c = _primitive(minus_k)
+            nvec = zero
+            mvec = _scaled(c, 2)
+        elif self.degree == 8:
+            curves = minus_one_curves(self)
+            if curves:
+                c = conic_bundles_real(self)[0].cls
+                nvec = _vec_add(c, curves[0])  # the hyperplane pullback
+                mvec = _vec_sub(minus_k, c)
+            else:
+                c = tuple(x // 2 for x in minus_k)
+                nvec = zero
+                mvec = c
+        else:
+            reals, _ = self._real_negative_curves
+            if reals:
+                c = min(reals)
+            else:
+                bundles = conic_bundles_real(self)
+                if not bundles:
+                    raise DelPezzoError(f"{self.name}: no real curve or conic bundle available")
+                c = min(b.cls for b in bundles)
+            nvec = _vec_sub(minus_k, c)
+            mvec = nvec
+        return c, nvec, mvec, is_nef(self, nvec), is_nef(self, mvec)
 
     @cached_property
     def _conic_bundles_real(self) -> tuple[ConicBundle, ...]:
@@ -272,18 +295,12 @@ def _de_jonquieres_model(extra_real_point: bool) -> SurfaceModel:
     """The degree-4 surface with the de Jonquieres involution, optionally
     blown up at one further real point (degree 3).
 
-    The involution is pinned by the images of the exceptional classes; its
+    The lattice and K are those of the plane blown up in 5 or 6 points.  The
+    involution is pinned by the images of the exceptional classes; its
     value on the hyperplane class is the unique extension fixing K and
     preserving the form, which the constructor re-checks.
     """
     r = 6 if extra_real_point else 5
-    name = "D(1,0)" if extra_real_point else "D"
-    labels = ("H",) + tuple(f"E{i}" for i in range(1, r + 1))
-    gram = tuple(
-        tuple((1 if i == j == 0 else (-1 if i == j else 0)) for j in range(r + 1))
-        for i in range(r + 1)
-    )
-    k = (-3,) + (1,) * r
     n = r + 1
     cols: list[list[int]] = []
     cols.append([3, -2, -1, -1, -1, -1] + ([0] if extra_real_point else []))
@@ -295,10 +312,11 @@ def _de_jonquieres_model(extra_real_point: bool) -> SurfaceModel:
     if extra_real_point:
         cols.append([0, 0, 0, 0, 0, 0, 1])
     tau = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return SurfaceModel(name, 9 - r, labels, gram, k, tau)
+    return replace(_p2_model(r, 0), name="D(1,0)" if extra_real_point else "D", tau=tau)
 
 
 def _build_surface(name: str) -> SurfaceModel:
+    """The model of a catalogued name (``surface_from_name`` checks the table)."""
     if name == "P2":
         return _p2_model(0, 0)
     if name in ("Q22", "Q31"):
@@ -309,18 +327,12 @@ def _build_surface(name: str) -> SurfaceModel:
         return _de_jonquieres_model(True)
     m = re.fullmatch(r"P2\((\d+),(\d+)\)", name)
     if m:
-        a, two_b = int(m.group(1)), int(m.group(2))
-        if two_b % 2 == 0:
-            return _p2_model(a, two_b)
+        return _p2_model(int(m.group(1)), int(m.group(2)))
     m = re.fullmatch(r"(Q22|Q31)\(0,(\d+)\)", name)
-    if m:
-        two_b = int(m.group(2))
-        if two_b % 2 == 0:
-            return _quadric_model(m.group(1), two_b)
-    raise NotCataloguedError(f"not catalogued: {name!r}")
+    return _quadric_model(m.group(1), int(m.group(2)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # only the 24 catalogued names are ever stored
 def surface_from_name(name: str) -> SurfaceModel:
     """The catalogued surface with the given name.
 
@@ -476,6 +488,31 @@ def _negative_curve_witness(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divis
     return None
 
 
+def _strip(
+    s: SurfaceModel, d: Divisor, limit: Optional[int] = None
+) -> tuple[list[tuple[Divisor, tuple[Divisor, ...]]], Divisor, Optional[bool]]:
+    """Strip negative curves off a real divisor until it is nef.
+
+    Returns each pass's (divisor, witness), the residual and whether the
+    divisor is effective: False as soon as it pairs negatively with -K or
+    no (-1)-curve can be subtracted (see ``_negative_curve_witness``), None
+    when ``limit`` passes are made before either verdict.
+    """
+    passes: list[tuple[Divisor, tuple[Divisor, ...]]] = []
+    while len(passes) != limit:
+        if _dot(s._minus_K_row, d) < 0:
+            return passes, d, False
+        if is_nef(s, d):
+            return passes, d, True
+        witness = _negative_curve_witness(s, d)
+        if witness is None:
+            return passes, d, False
+        passes.append((d, witness))
+        for w in witness:
+            d = _vec_sub(d, w)
+    return passes, d, None
+
+
 def reduce_to_nef(s: SurfaceModel, d: Sequence[int]) -> ReduceResult:
     """Strip negative curves off a real divisor until it is nef.
 
@@ -488,18 +525,8 @@ def reduce_to_nef(s: SurfaceModel, d: Sequence[int]) -> ReduceResult:
     cur = tuple(d)
     if not s.is_real(cur):
         raise NotConjugationFixedError("not conjugation-fixed")
-    subtracted: list[Divisor] = []
-    while True:
-        if _dot(s._minus_K_row, cur) < 0:
-            return ReduceResult(cur, tuple(subtracted), False)
-        if is_nef(s, cur):
-            return ReduceResult(cur, tuple(subtracted), True)
-        witness = _negative_curve_witness(s, cur)
-        if witness is None:
-            return ReduceResult(cur, tuple(subtracted), False)
-        for w in witness:
-            subtracted.append(w)
-            cur = _vec_sub(cur, w)
+    passes, residual, effective = _strip(s, cur)
+    return ReduceResult(residual, tuple(w for _, witness in passes for w in witness), effective)
 
 
 # -- ample step ----------------------------------------------------------------
@@ -514,42 +541,6 @@ class AmpleStep:
 
 def _scaled(d: Sequence[int], k: int) -> Divisor:
     return tuple(k * x for x in d)
-
-
-def _ample_step_classes(s: SurfaceModel) -> tuple[Divisor, Divisor, Divisor, bool, bool]:
-    """The classes C, N, M of every ample step on s, with the nefness of N and M.
-
-    They depend on the surface only; the model keeps them.
-    """
-    zero = (0,) * s.rank
-    minus_k = s.minus_K
-    if s.degree == 9:
-        c = _primitive(minus_k)
-        nvec = zero
-        mvec = _scaled(c, 2)
-    elif s.degree == 8:
-        curves = minus_one_curves(s)
-        if curves:
-            bundles = conic_bundles_real(s)
-            c = bundles[0].cls
-            nvec = _vec_add(c, curves[0])  # the hyperplane pullback
-            mvec = _vec_sub(minus_k, c)
-        else:
-            c = tuple(x // 2 for x in minus_k)
-            nvec = zero
-            mvec = c
-    else:
-        reals, _ = real_negative_curves(s)
-        if reals:
-            c = min(reals)
-        else:
-            bundles = conic_bundles_real(s)
-            if not bundles:
-                raise DelPezzoError(f"{s.name}: no real curve or conic bundle available")
-            c = min(b.cls for b in bundles)
-        nvec = _vec_sub(minus_k, c)
-        mvec = nvec
-    return c, nvec, mvec, is_nef(s, nvec), is_nef(s, mvec)
 
 
 def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
@@ -810,11 +801,13 @@ def _conic_multiple(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divisor, int]
 def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     """Walk a real effective divisor down to zero or to a conic bundle multiple.
 
-    Loop of the descent: subtract negative curves while the divisor is not
-    nef; once nef, stop on zero or a conic-bundle multiple; a nef-not-ample
-    divisor is pulled back from a higher-degree catalogued surface via a real
-    contraction; an ample divisor loses the chosen curve or bundle C with a
-    verified Euler-characteristic inequality.  The anticanonical pairing
+    The walk first strips negative curves until the divisor is nef (see
+    ``_strip``); from then on the divisor stays nef.  A nef divisor stops on
+    zero or a conic-bundle multiple; a nef-not-ample divisor is pulled back
+    from a higher-degree catalogued surface via a real contraction, whose
+    pushforward is nef again; an ample divisor loses the chosen curve or
+    bundle C with a verified Euler-characteristic inequality, and the
+    residual's nefness is part of that record.  The anticanonical pairing
     strictly decreases at every multiplier step, which bounds the chain
     length by -K.D.
     """
@@ -823,16 +816,25 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
         raise DelPezzoError(_RANK_MISMATCH)
     if not s.is_real(cur):
         raise NotConjugationFixedError("not conjugation-fixed")
+    passes, cur, effective = _strip(s, cur, 10_000)
+    if effective is False:
+        raise NotEffectiveError("not effective")
+    results = [div for div, _ in passes[1:]] + [cur]
+    steps = [
+        TransferStep(
+            "subtract_negative_curve",
+            s.name,
+            div,
+            witness=witness,
+            check={"pairing": s.intersect(div, witness[0]), "minus_K_dot": _dot(s._minus_K_row, div)},
+            result=nxt,
+        )
+        for (div, witness), nxt in zip(passes, results)
+    ]
     surf = s
-    start_name = s.name
-    steps: list[TransferStep] = []
     terminal_kind: Optional[str] = None
-    zero = lambda: (0,) * surf.rank
-    for _ in range(10_000):
-        mk_pairing = _dot(surf._minus_K_row, cur)
-        if mk_pairing < 0:
-            raise NotEffectiveError("not effective")
-        if cur == zero():
+    for _ in range(10_000 - len(steps)):
+        if not any(cur):
             steps.append(
                 TransferStep(
                     "terminal", surf.name, cur, check={"terminal_kind": "zero", "minus_K_dot": 0}
@@ -840,28 +842,7 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
             )
             terminal_kind = "zero"
             break
-        if not is_nef(surf, cur):
-            witness = _negative_curve_witness(surf, cur)
-            if witness is None:
-                raise NotEffectiveError("not effective")
-            nxt = cur
-            for w in witness:
-                nxt = _vec_sub(nxt, w)
-            steps.append(
-                TransferStep(
-                    "subtract_negative_curve",
-                    surf.name,
-                    cur,
-                    witness=witness,
-                    check={
-                        "pairing": surf.intersect(cur, witness[0]),
-                        "minus_K_dot": mk_pairing,
-                    },
-                    result=nxt,
-                )
-            )
-            cur = nxt
-            continue
+        mk_pairing = _dot(surf._minus_K_row, cur)
         cm = _conic_multiple(surf, cur)
         if cm is not None:
             bundle, mult = cm
@@ -909,6 +890,8 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
             cur = nxt
             continue
         ast = ample_step(surf, cur)
+        if not ast.check["nef_E"]:
+            raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
         check = dict(ast.check)
         check["minus_K_dot"] = mk_pairing
         steps.append(
@@ -920,11 +903,11 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     else:
         raise DelPezzoError("transfer did not terminate")
     return DelPezzoTransfer(
-        surface=start_name,
+        surface=s.name,
         start=tuple(d),
         steps=tuple(steps),
         terminal_kind=terminal_kind,
-        certificate_kind=certificate_kind(start_name),
+        certificate_kind=certificate_kind(s.name),
     )
 
 

@@ -1,9 +1,11 @@
 """Exact geometry of convex lattice polygons.
 
 Everything in this module is integer or rational arithmetic: convex hulls,
-dilations, Minkowski sums, lattice-point counts, translate searches, and the
-connected-component bookkeeping for set differences ``P \\ Q'`` that feeds the
-toric transfer criterion.  Every comparison is exact.
+dilations, Minkowski sums, closed-form lattice-point counts, translate
+containment as one exact interval per row, the connected-component
+bookkeeping for set differences ``P \\ Q'`` that feeds the toric transfer
+criterion, and the terminal tests (Lawrence prism, twice a unimodular
+triangle) as lattice invariants.  Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class LatticeGeometryError(ValueError):
@@ -93,18 +95,6 @@ def _hull_vertices(points: Sequence[LatticePoint]) -> tuple[LatticePoint, ...]:
         # All points collinear: keep the two extreme endpoints.
         return (pts[0], pts[-1])
     return tuple(lower[:-1] + upper[:-1])
-
-
-def _floor_div(num: int, den: int) -> int:
-    if den < 0:
-        num, den = -num, -den
-    return num // den
-
-
-def _ceil_div(num: int, den: int) -> int:
-    if den < 0:
-        num, den = -num, -den
-    return -((-num) // den)
 
 
 class LatticePolygon:
@@ -218,35 +208,6 @@ class LatticePolygon:
             return gcd(abs(b.x - a.x), abs(b.y - a.y)) + 1
         return sum(gcd(abs(b.x - a.x), abs(b.y - a.y)) for a, b in self.edges)
 
-    def _row_span(self, y: int) -> Optional[tuple[int, int]]:
-        """Integer x-range [lo, hi] of the slice at height y, or None."""
-        lo: Optional[tuple[int, int]] = None  # exact fraction (num, den), den > 0
-        hi: Optional[tuple[int, int]] = None
-
-        def update(num: int, den: int) -> None:
-            nonlocal lo, hi
-            if den < 0:
-                num, den = -num, -den
-            if lo is None or num * lo[1] < lo[0] * den:
-                lo = (num, den)
-            if hi is None or num * hi[1] > hi[0] * den:
-                hi = (num, den)
-
-        for a, b in self.edges:
-            if a.y == b.y:
-                if a.y == y:
-                    update(a.x, 1)
-                    update(b.x, 1)
-            elif min(a.y, b.y) <= y <= max(a.y, b.y):
-                update(a.x * (b.y - a.y) + (y - a.y) * (b.x - a.x), b.y - a.y)
-        if lo is None or hi is None:
-            return None
-        xlo = _ceil_div(*lo)
-        xhi = _floor_div(*hi)
-        if xlo > xhi:
-            return None
-        return xlo, xhi
-
     @cached_property
     def lattice_point_count(self) -> int:
         """Exact number of lattice points in the closed polygon.
@@ -263,24 +224,6 @@ class LatticePolygon:
         if self.dim < 2:
             return 0
         return self.lattice_point_count - self.boundary_lattice_point_count
-
-    def lattice_points(self) -> Iterator[LatticePoint]:
-        if self.dim == 0:
-            yield self.vertices[0]
-            return
-        if self.dim == 1:
-            a, b = self.vertices
-            g = gcd(abs(b.x - a.x), abs(b.y - a.y))
-            step = LatticePoint((b.x - a.x) // g, (b.y - a.y) // g)
-            for i in range(g + 1):
-                yield LatticePoint(a.x + i * step.x, a.y + i * step.y)
-            return
-        _, ymin, _, ymax = self.bounding_box
-        for y in range(ymin, ymax + 1):
-            span = self._row_span(y)
-            if span is not None:
-                for x in range(span[0], span[1] + 1):
-                    yield LatticePoint(x, y)
 
     # -- edge data -----------------------------------------------------------
 
@@ -422,21 +365,37 @@ def interior_lattice_point_count(poly: LatticePolygon) -> int:
 
 
 def contains_lattice_translate(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePoint]:
-    """A witness m with P + m contained in Q, if one exists.
+    """The least witness m, in (mx, my) order, with P + m contained in Q.
 
-    The search box is derived from the bounding boxes: each vertex of P has to
-    land inside Q, which pins m into a finite rectangle.
+    P + m lies in Q exactly when m lies in the box that the bounding boxes
+    allow and n.m >= c - min_v n.v for every inward halfplane n.x >= c of
+    Q (both sides of the line when Q is a segment).  On each row my of the
+    box these bounds leave one exact interval of mx; the witness is the
+    least lower end over the rows, ties going to the lower row.
     """
     pxmin, pymin, pxmax, pymax = p.bounding_box
     qxmin, qymin, qxmax, qymax = q.bounding_box
     mx_lo, mx_hi = qxmin - pxmin, qxmax - pxmax
     my_lo, my_hi = qymin - pymin, qymax - pymax
-    for mx in range(mx_lo, mx_hi + 1):
-        for my in range(my_lo, my_hi + 1):
-            m = LatticePoint(mx, my)
-            if all(q.contains_point(v + m) for v in p.vertices):
-                return m
-    return None
+    if mx_lo > mx_hi or my_lo > my_hi:
+        return None
+    planes = _inward_halfplanes(q)
+    if q.dim == 1:
+        planes += tuple((-nx, -ny, -c) for nx, ny, c in planes)
+    # a horizontal edge (nx = 0) only bounds my, as the box already does
+    bounds = [(nx, ny, c - min(nx * v.x + ny * v.y for v in p.vertices)) for nx, ny, c in planes if nx]
+    best: Optional[tuple[int, int]] = None
+    for my in range(my_lo, my_hi + 1):
+        lo, hi = mx_lo, mx_hi
+        for nx, ny, r in bounds:
+            r -= ny * my  # the bound reads nx * mx >= r on this row
+            if nx > 0:
+                lo = max(lo, -(-r // nx))
+            else:
+                hi = min(hi, r // nx)
+        if lo <= hi and (best is None or lo < best[0]):
+            best = (lo, my)
+    return None if best is None else LatticePoint(*best)
 
 
 def _inward_halfplanes(q: LatticePolygon) -> tuple[tuple[int, int, int], ...]:
@@ -567,12 +526,20 @@ def _event_segments(p: LatticePolygon, q: LatticePolygon) -> set[tuple[int, int,
     return segments
 
 
+#: Rows of the zone P + (-Q) that one translate sweep may visit.  The
+#: sweep and the containment scan before it are linear in the rows, so a
+#: taller input is refused up front; the containment box never has more
+#: rows than the zone.
+MAX_SWEEP_ROWS = 1_000_000
+
+
 def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     """Total reduced component count over all lattice translates of Q.
 
     Requires the transfer hypothesis: no lattice translate of P fits inside
     Q.  Translates of Q disjoint from P contribute nothing; the others are
-    the lattice points m of the zone P + (-Q), swept row by row.  Along a row
+    the lattice points m of the zone P + (-Q), swept row by row (a zone of
+    more than ``MAX_SWEEP_ROWS`` rows is refused).  Along a row
     the block count is constant between consecutive breakpoints, where the
     row crosses an event segment (see ``_event_segments``).  With ``scale``
     the lcm of the segments' x-coefficients, each segment becomes
@@ -597,6 +564,11 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
+    _, pymin, _, pymax = p.bounding_box
+    _, qymin, _, qymax = q.bounding_box
+    rows = pymax - pymin + qymax - qymin + 1  # the zone's rows
+    if rows > MAX_SWEEP_ROWS:
+        raise LatticeGeometryError(f"P + (-Q) spans {rows} rows, more than the {MAX_SWEEP_ROWS} one sweep may visit")
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
     clips = _clip_rows(p, q)
@@ -657,73 +629,6 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     return total
 
 
-# -- lattice equivalence ------------------------------------------------------
-
-
-def _mat_vec(m, p: LatticePoint) -> LatticePoint:
-    (a, b), (c, d) = m
-    return LatticePoint(a * p.x + b * p.y, c * p.x + d * p.y)
-
-
-def _candidate_map(u1, u2, v1, v2):
-    """Integer matrix M with M u_i = v_i, or None."""
-    det = u1.x * u2.y - u1.y * u2.x
-    if det == 0:
-        return None
-    # M = V * adj(U) / det with U = [u1 u2], V = [v1 v2] as columns.
-    a_num = v1.x * u2.y - v2.x * u1.y
-    b_num = -v1.x * u2.x + v2.x * u1.x
-    c_num = v1.y * u2.y - v2.y * u1.y
-    d_num = -v1.y * u2.x + v2.y * u1.x
-    if any(n % det for n in (a_num, b_num, c_num, d_num)):
-        return None
-    m = ((a_num // det, b_num // det), (c_num // det, d_num // det))
-    (a, b), (c, d) = m
-    if a * d - b * c not in (1, -1):
-        return None
-    return m
-
-
-def is_lattice_equivalent(p: LatticePolygon, q: LatticePolygon) -> bool:
-    """Whether an affine unimodular map carries P onto Q.
-
-    One edge-to-edge correspondence is anchored; the finitely many candidate
-    linear parts come from matching P's first two edge vectors against
-    consecutive edge vectors of Q, in both orientations.
-    """
-    if p.dim != q.dim:
-        return False
-    if p.dim == 0:
-        return True
-    if p.dim == 1:
-        a, b = p.vertices
-        c, d = q.vertices
-        return gcd(abs(b.x - a.x), abs(b.y - a.y)) == gcd(abs(d.x - c.x), abs(d.y - c.y))
-    if (
-        len(p.vertices) != len(q.vertices)
-        or p.twice_area != q.twice_area
-        or p.boundary_lattice_point_count != q.boundary_lattice_point_count
-        or p.lattice_point_count != q.lattice_point_count
-    ):
-        return False
-    pe = [b - a for a, b in p.edges]
-    u1, u2 = pe[0], pe[1]
-    n = len(q.vertices)
-    for reversed_q in (False, True):
-        verts = q.vertices if not reversed_q else tuple(reversed(q.vertices))
-        qe = [verts[(i + 1) % n] - verts[i] for i in range(n)]
-        for r in range(n):
-            m = _candidate_map(u1, u2, qe[r], qe[(r + 1) % n])
-            if m is None:
-                continue
-            image = _mat_vec(m, p.vertices[0])
-            shift = verts[r] - image
-            mapped = LatticePolygon([_mat_vec(m, v) + shift for v in p.vertices])
-            if mapped == q:
-                return True
-    return False
-
-
 def standard_prism(h1: int, h2: int) -> LatticePolygon:
     """The prism with vertical fibers of heights h1 and h2 over a unit edge."""
     if h1 < 0 or h2 < 0:
@@ -738,19 +643,14 @@ def wide_prism(h1: int, h2: int) -> LatticePolygon:
     return LatticePolygon([(0, 0), (h1, 0), (0, 1), (h2, 1)])
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), (1 if a >= 0 else -1), 0)
-    g, x, y = _extended_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
 def is_lawrence_prism(p: LatticePolygon) -> Optional[tuple[int, int]]:
     """Heights (h1, h2), h1 >= h2, if P is equivalent to a Lawrence prism.
 
     A full-dimensional prism has no interior lattice points and lattice
     width one; the width direction is always normal to an edge, because
-    every vertex lies on one of the two supporting lattice lines.
+    every vertex lies on one of the two supporting lattice lines.  Each
+    fiber's height is the lattice length of the segment joining the
+    vertices on its line (zero for a single vertex).
     """
     if p.dim == 0:
         return None
@@ -764,28 +664,25 @@ def is_lawrence_prism(p: LatticePolygon) -> Optional[tuple[int, int]]:
         g = gcd(abs(dx), abs(dy))
         ux, uy = -dy // g, dx // g  # primitive normal of this edge
         values = [ux * v.x + uy * v.y for v in p.vertices]
-        if max(values) - min(values) != 1:
-            continue
-        # Complete (ux, uy) to a unimodular map sending the normal functional
-        # to the second coordinate, then read off the two fiber lengths.
-        _, s, t = _extended_gcd(ux, uy)
-        # w = (t, -s) satisfies det [[t, -s], [ux, uy]] = t*uy + s*ux = 1.
         base = min(values)
-        rows: dict[int, list[int]] = {0: [], 1: []}
-        for v in p.vertices:
-            y = ux * v.x + uy * v.y - base
-            rows[y].append(t * v.x - s * v.y)
-        h_bottom = max(rows[0]) - min(rows[0])
-        h_top = max(rows[1]) - min(rows[1])
+        if max(values) - base != 1:
+            continue
+        fibers: tuple[list[LatticePoint], list[LatticePoint]] = ([], [])
+        for v, value in zip(p.vertices, values):
+            fibers[value - base].append(v)
+        h_bottom, h_top = (gcd(f[-1].x - f[0].x, f[-1].y - f[0].y) for f in fibers)
         return (h_bottom, h_top) if h_bottom >= h_top else (h_top, h_bottom)
     return None
 
 
-TWICE_UNIT_TRIANGLE = LatticePolygon([(0, 0), (2, 0), (0, 2)])
-
-
 def is_twice_unit_triangle(p: LatticePolygon) -> bool:
-    return is_lattice_equivalent(p, TWICE_UNIT_TRIANGLE)
+    """Whether P is equivalent to 2Δ: a triangle of twice-area 4 whose edges
+    all have lattice length 2, so that it is twice a unimodular triangle."""
+    return (
+        len(p.vertices) == 3
+        and p.twice_area == 4
+        and all(gcd(b.x - a.x, b.y - a.y) == 2 for a, b in p.edges)
+    )
 
 
 def rectangle(a: int, b: int) -> LatticePolygon:

@@ -331,9 +331,6 @@ def improved_ternary_bound(d: int) -> tuple[TransferPlan, int]:
 
 # -- generic planner -----------------------------------------------------------
 
-_FAMILIES = ("squares", "rectangles", "trapezoids", "prisms", "veronese", "exhaustive")
-
-
 def _infer_context(p: LatticePolygon) -> str:
     xmin, ymin, xmax, ymax = p.bounding_box
     if p == rectangle(xmax - xmin, ymax - ymin).translate((xmin, ymin)):

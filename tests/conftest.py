@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import Iterator, Optional
 
 import pytest
 
@@ -14,11 +15,11 @@ from sostransfer._intlinalg import mat_mul, mat_vec, solve_quadratic_lattice
 from sostransfer.delpezzo import conic_bundle_classes, minus_one_curves
 from sostransfer.lattice import (
     DegeneratePolygonError,
+    LatticePoint,
     LatticePolygon,
     TranslateContainmentError,
     _clip_rows,
     _covered_block_count,
-    contains_lattice_translate,
     dilate,
     minkowski_sum,
 )
@@ -35,6 +36,148 @@ def random_polygon(rng: random.Random, max_coord: int = 8, tries: int = 50) -> L
         if poly.dim == 2:
             return poly
     raise AssertionError("could not draw a full-dimensional polygon")
+
+
+def _floor_div(num: int, den: int) -> int:
+    if den < 0:
+        num, den = -num, -den
+    return num // den
+
+
+def _ceil_div(num: int, den: int) -> int:
+    if den < 0:
+        num, den = -num, -den
+    return -((-num) // den)
+
+
+def _row_span(poly: LatticePolygon, y: int) -> Optional[tuple[int, int]]:
+    """Integer x-range [lo, hi] of the slice of poly at height y, or None."""
+    lo: Optional[tuple[int, int]] = None  # exact fraction (num, den), den > 0
+    hi: Optional[tuple[int, int]] = None
+
+    def update(num: int, den: int) -> None:
+        nonlocal lo, hi
+        if den < 0:
+            num, den = -num, -den
+        if lo is None or num * lo[1] < lo[0] * den:
+            lo = (num, den)
+        if hi is None or num * hi[1] > hi[0] * den:
+            hi = (num, den)
+
+    for a, b in poly.edges:
+        if a.y == b.y:
+            if a.y == y:
+                update(a.x, 1)
+                update(b.x, 1)
+        elif min(a.y, b.y) <= y <= max(a.y, b.y):
+            update(a.x * (b.y - a.y) + (y - a.y) * (b.x - a.x), b.y - a.y)
+    if lo is None or hi is None:
+        return None
+    xlo = _ceil_div(*lo)
+    xhi = _floor_div(*hi)
+    if xlo > xhi:
+        return None
+    return xlo, xhi
+
+
+def lattice_points(poly: LatticePolygon) -> Iterator[LatticePoint]:
+    """Every lattice point of the closed polygon, row by row."""
+    if poly.dim == 0:
+        yield poly.vertices[0]
+        return
+    if poly.dim == 1:
+        a, b = poly.vertices
+        g = gcd(abs(b.x - a.x), abs(b.y - a.y))
+        step = LatticePoint((b.x - a.x) // g, (b.y - a.y) // g)
+        for i in range(g + 1):
+            yield LatticePoint(a.x + i * step.x, a.y + i * step.y)
+        return
+    _, ymin, _, ymax = poly.bounding_box
+    for y in range(ymin, ymax + 1):
+        span = _row_span(poly, y)
+        if span is not None:
+            for x in range(span[0], span[1] + 1):
+                yield LatticePoint(x, y)
+
+
+def brute_force_contains_translate(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePoint]:
+    """The first m, scanning mx then my over the box the bounding boxes
+    allow, with every vertex of P + m inside Q, or None."""
+    pxmin, pymin, pxmax, pymax = p.bounding_box
+    qxmin, qymin, qxmax, qymax = q.bounding_box
+    for mx in range(qxmin - pxmin, qxmax - pxmax + 1):
+        for my in range(qymin - pymin, qymax - pymax + 1):
+            m = LatticePoint(mx, my)
+            if all(q.contains_point(v + m) for v in p.vertices):
+                return m
+    return None
+
+
+def _mat_vec(m, p: LatticePoint) -> LatticePoint:
+    (a, b), (c, d) = m
+    return LatticePoint(a * p.x + b * p.y, c * p.x + d * p.y)
+
+
+def _candidate_map(u1, u2, v1, v2):
+    """Integer matrix M with M u_i = v_i, or None."""
+    det = u1.x * u2.y - u1.y * u2.x
+    if det == 0:
+        return None
+    # M = V * adj(U) / det with U = [u1 u2], V = [v1 v2] as columns.
+    a_num = v1.x * u2.y - v2.x * u1.y
+    b_num = -v1.x * u2.x + v2.x * u1.x
+    c_num = v1.y * u2.y - v2.y * u1.y
+    d_num = -v1.y * u2.x + v2.y * u1.x
+    if any(n % det for n in (a_num, b_num, c_num, d_num)):
+        return None
+    m = ((a_num // det, b_num // det), (c_num // det, d_num // det))
+    (a, b), (c, d) = m
+    if a * d - b * c not in (1, -1):
+        return None
+    return m
+
+
+def is_lattice_equivalent(p: LatticePolygon, q: LatticePolygon) -> bool:
+    """Whether an affine unimodular map carries P onto Q.
+
+    One edge-to-edge correspondence is anchored; the finitely many candidate
+    linear parts come from matching P's first two edge vectors against
+    consecutive edge vectors of Q, in both orientations.
+    """
+    if p.dim != q.dim:
+        return False
+    if p.dim == 0:
+        return True
+    if p.dim == 1:
+        a, b = p.vertices
+        c, d = q.vertices
+        return gcd(abs(b.x - a.x), abs(b.y - a.y)) == gcd(abs(d.x - c.x), abs(d.y - c.y))
+    if (
+        len(p.vertices) != len(q.vertices)
+        or p.twice_area != q.twice_area
+        or p.boundary_lattice_point_count != q.boundary_lattice_point_count
+        or p.lattice_point_count != q.lattice_point_count
+    ):
+        return False
+    pe = [b - a for a, b in p.edges]
+    u1, u2 = pe[0], pe[1]
+    n = len(q.vertices)
+    for reversed_q in (False, True):
+        verts = q.vertices if not reversed_q else tuple(reversed(q.vertices))
+        qe = [verts[(i + 1) % n] - verts[i] for i in range(n)]
+        for r in range(n):
+            m = _candidate_map(u1, u2, qe[r], qe[(r + 1) % n])
+            if m is None:
+                continue
+            image = _mat_vec(m, p.vertices[0])
+            shift = verts[r] - image
+            mapped = LatticePolygon([_mat_vec(m, v) + shift for v in p.vertices])
+            if mapped == q:
+                return True
+    return False
+
+
+TWICE_UNIT_TRIANGLE = LatticePolygon([(0, 0), (2, 0), (0, 2)])
 
 
 def brute_force_lattice_count(poly: LatticePolygon) -> int:
@@ -71,11 +214,11 @@ def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
-    if contains_lattice_translate(p, q) is not None:
+    if brute_force_contains_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
     clips = _clip_rows(p, q)
     total = 0
-    for m in minkowski_sum(p, q.reflect()).lattice_points():
+    for m in lattice_points(minkowski_sum(p, q.reflect())):
         blocks = _covered_block_count(clips, m.x, m.y)
         if blocks > 1:
             total += blocks - 1

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -24,6 +25,15 @@ class TestToricCheck:
         code, _, err = invoke(capsys, "toric-check", "--p", SQUARE1, "--q", SQUARE2)
         assert code == 2
         assert "translate containment" in err
+
+    def test_too_tall_exits_one(self, capsys):
+        tall = '{"vertices":[[0,0],[1,0],[0,1000000000000]]}'
+        delta2 = '{"vertices":[[0,0],[2,0],[0,2]]}'
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "toric-check", "--p", tall, "--q", delta2)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "rows" in err
 
     def test_non_integer_vertex(self, capsys):
         code, _, err = invoke(
@@ -53,6 +63,16 @@ class TestToricCheck:
         one = invoke(capsys, "toric-check", "--p", SQUARE2, "--q", SQUARE1, "--json")
         two = invoke(capsys, "toric-check", "--p", SQUARE2, "--q", SQUARE1, "--json")
         assert one == two
+
+
+class TestToricPlan:
+    def test_exhaustive_family(self, capsys):
+        delta4 = '{"vertices":[[0,0],[4,0],[0,4]]}'
+        code, out, _ = invoke(capsys, "toric-plan", "--p", delta4, "--families", "exhaustive", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["terminal_kind"] == "2delta"
+        assert payload["terminal"] == {"vertices": [[0, 0], [2, 0], [0, 2]]}
 
 
 class TestHilbert:

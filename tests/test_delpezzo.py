@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -354,6 +355,42 @@ class TestTransferSequence:
                             st.check["h1_E_minus_D"],
                             st.check["chi_minus_D_minus_E"],
                         )
+
+    def test_walk_strips_first_then_stays_nef(self):
+        # Subtractions only open the walk; every later divisor is nef, and
+        # every ample step records a nef residual.
+        rng = random.Random(1440)
+        kinds = {"subtract_negative_curve": 0, "contract": 0, "ample_step": 0}
+        for s in catalogue():
+            curves = [c for c in minus_one_curves(s) if s.is_real(c)]
+            for _ in range(30):
+                d = random_effective_divisor(s, rng)
+                if curves and rng.random() < 0.5:
+                    c, k = rng.choice(curves), rng.randint(1, 3)
+                    d = tuple(x + k * y for x, y in zip(d, c))
+                t = transfer_sequence(s, d)
+                walk = [st.kind for st in t.steps]
+                first = next(i for i, k in enumerate(walk) if k != "subtract_negative_curve")
+                assert "subtract_negative_curve" not in walk[first:]
+                for st in t.steps[first:]:
+                    assert is_nef(surface_from_name(st.surface), st.divisor)
+                    if st.kind == "ample_step":
+                        assert st.check["nef_E"] is True
+                for k in walk:
+                    kinds[k] = kinds.get(k, 0) + 1
+        assert min(kinds.values()) > 20
+
+    def test_step_guard_counts_subtractions(self):
+        # k E1 on P2(1,0) takes k subtractions and a terminal step; the walk
+        # stops at 10,000 steps.
+        s = surface_from_name("P2(1,0)")
+        t = transfer_sequence(s, (0, 9_999))
+        assert len(t.steps) == 10_000 and t.terminal_kind == "zero"
+        for k in (10_000, 10**12):
+            start = time.perf_counter()
+            with pytest.raises(DelPezzoError, match="did not terminate"):
+                transfer_sequence(s, (0, k))
+            assert time.perf_counter() - start < 2.0
 
 
 class TestJson:

@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -18,7 +19,6 @@ from sostransfer.lattice import (
     difference_components,
     dilate,
     interior_lattice_point_count,
-    is_lattice_equivalent,
     is_lawrence_prism,
     is_twice_unit_triangle,
     lattice_point_count,
@@ -29,14 +29,19 @@ from sostransfer.lattice import (
     veronese_triangle,
     wide_prism,
 )
+from sostransfer.toric import iter_convex_subpolygons
 
 from conftest import (
+    TWICE_UNIT_TRIANGLE,
     brute_force_component_total,
+    brute_force_contains_translate,
     brute_force_interior_count,
     brute_force_lattice_count,
     fraction_covered_arcs,
     hull_minkowski_sum,
+    is_lattice_equivalent,
     random_polygon,
+    random_unimodular,
     total_or_containment,
 )
 
@@ -141,6 +146,59 @@ class TestTranslateSearch:
     def test_shifted_witness(self):
         target = rectangle(2, 2).translate((5, 7))
         assert contains_lattice_translate(rectangle(1, 1), target) == LatticePoint(5, 7)
+
+    def test_sliver_is_scanned_by_rows(self):
+        # P = 2Δ against a sliver of height M: the box has about M² translates
+        # but only M rows.
+        m = 10**4
+        sliver = LatticePolygon([(0, 0), (m, m), (m, m - 1)])
+        start = time.perf_counter()
+        assert contains_lattice_translate(veronese_triangle(2), sliver) is None
+        assert time.perf_counter() - start < 1.0
+
+
+def _point_set(rng: random.Random, size: int) -> LatticePolygon:
+    """A random hull of one to six points: a point, a segment or a polygon."""
+    return LatticePolygon(
+        [(rng.randint(0, size), rng.randint(0, size)) for _ in range(rng.randint(1, 6))]
+    )
+
+
+class TestTranslateScanOracle:
+    """The row scan, witness included, against the box scan of every translate."""
+
+    def test_random_pairs(self):
+        rng = random.Random(7070)
+        found = missed = 0
+        for _ in range(2500):
+            p = _point_set(rng, 4)
+            q = _point_set(rng, 8) if rng.random() < 0.3 else random_polygon(rng, max_coord=8)
+            q = q.translate((rng.randint(-3, 3), rng.randint(-3, 3)))
+            witness = brute_force_contains_translate(p, q)
+            assert contains_lattice_translate(p, q) == witness, (p, q)
+            found += witness is not None
+            missed += witness is None
+        assert found > 500 and missed > 500
+
+    def test_far_translated_pairs(self):
+        rng = random.Random(7171)
+        for _ in range(400):
+            far = rng.choice((10**6, 10**9))
+            p = _point_set(rng, 3).translate((rng.randint(-far, far), rng.randint(-far, far)))
+            q = random_polygon(rng, max_coord=7).translate((rng.randint(-far, far), rng.randint(-far, far)))
+            witness = brute_force_contains_translate(p, q)
+            assert contains_lattice_translate(p, q) == witness, (p, q)
+            if witness is not None:
+                assert q.contains_polygon(p.translate(witness))
+
+    def test_degenerate_p(self):
+        q = LatticePolygon([(0, 0), (6, 0), (0, 3)])
+        rng = random.Random(7272)
+        for _ in range(300):
+            a = (rng.randint(-2, 7), rng.randint(-2, 4))
+            b = (rng.randint(-2, 7), rng.randint(-2, 4))
+            for p in (LatticePolygon([a]), LatticePolygon([a, b])):
+                assert contains_lattice_translate(p, q) == brute_force_contains_translate(p, q), p
 
 
 class TestDifferenceComponents:
@@ -475,6 +533,14 @@ class TestLawrencePrism:
     def test_unit_triangle(self):
         assert is_lawrence_prism(veronese_triangle(1)) == (1, 0)
 
+    def test_twice_a_wider_empty_triangle_is_not_2delta(self):
+        # Every edge has lattice length 2, but the halved triangle
+        # (0,0), (1,0), (-1,3) has twice-area 3, not 1.
+        p = LatticePolygon([(0, 0), (2, 0), (-2, 6)])
+        assert all(gcd(b.x - a.x, b.y - a.y) == 2 for a, b in p.edges)
+        assert not is_twice_unit_triangle(p)
+        assert not is_lattice_equivalent(p, TWICE_UNIT_TRIANGLE)
+
     def test_interior_point_disqualifies(self):
         assert is_lawrence_prism(veronese_triangle(3)) is None
 
@@ -485,6 +551,28 @@ class TestLawrencePrism:
                 if poly.dim == 2:
                     assert is_lawrence_prism(poly) == (h1, h2)
                     assert is_lattice_equivalent(poly, standard_prism(h1, h2))
+
+
+class TestTerminalInvariantsOracle:
+    """Both terminal tests against the lattice-equivalence search, on every
+    convex polygon in 5Δ and a unimodular image of each."""
+
+    def test_against_lattice_equivalence(self):
+        rng = random.Random(8080)
+        prisms = [((h1, h2), standard_prism(h1, h2)) for h1 in range(1, 6) for h2 in range(h1 + 1)]
+        polys = list(iter_convex_subpolygons(5))
+        images = [
+            q.apply_unimodular(random_unimodular(rng), (rng.randint(-9, 9), rng.randint(-9, 9))) for q in polys
+        ]
+        kinds = {"prism": 0, "2Δ": 0}
+        for poly in polys + images:
+            expected = next((h for h, prism in prisms if is_lattice_equivalent(poly, prism)), None)
+            assert is_lawrence_prism(poly) == expected, poly
+            twice = is_lattice_equivalent(poly, TWICE_UNIT_TRIANGLE)
+            assert is_twice_unit_triangle(poly) == twice, poly
+            kinds["prism"] += expected is not None
+            kinds["2Δ"] += twice
+        assert kinds["prism"] > 100 and kinds["2Δ"] > 10
 
 
 class TestJson:

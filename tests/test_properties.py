@@ -14,7 +14,6 @@ from sostransfer.lattice import (
     contains_lattice_translate,
     difference_components,
     dilate,
-    is_lattice_equivalent,
     is_lawrence_prism,
     minkowski_sum,
     reduced_component_total,
@@ -28,6 +27,7 @@ from conftest import (
     edges_share_a_line,
     ehrhart_quadratic,
     flood_fill_components,
+    is_lattice_equivalent,
     random_polygon,
     random_unimodular,
     shoelace_area_twice,

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from sostransfer.lattice import (
+    MAX_SWEEP_ROWS,
+    LatticeGeometryError,
     LatticePolygon,
     TranslateContainmentError,
     dilate,
@@ -35,7 +37,7 @@ from sostransfer.toric import (
     veronese_step_counts,
 )
 
-from conftest import brute_force_component_total
+from conftest import brute_force_component_total, lattice_points
 
 FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
 
@@ -83,6 +85,18 @@ class TestTransferCheck:
         v = transfer_check(LatticePolygon([(0, 0), (n, 0), (0, 1)]), q)
         assert time.perf_counter() - start < 1.0
         assert v.h == 2 * n - 5
+
+    def test_tall_polygon_is_refused_up_front(self):
+        # P + (-2Δ) has n + 3 rows; past the row budget the sweep is refused.
+        q = veronese_triangle(2)
+        for n in (MAX_SWEEP_ROWS - 2, 10**12):
+            p = LatticePolygon([(0, 0), (1, 0), (0, n)])
+            start = time.perf_counter()
+            with pytest.raises(LatticeGeometryError, match="rows"):
+                transfer_check(p, q)
+            assert time.perf_counter() - start < 1.0
+        p = LatticePolygon([(0, 0), (1, 0), (0, 30)])
+        assert transfer_check(p, q).h == brute_force_component_total(p, q)
 
 
 class TestClassicPipeline:
@@ -280,7 +294,7 @@ class TestSubpolygonEnumeration:
         # oracle: hulls of all subsets of the small triangle's lattice points
         for k in (2, 3):
             tri = veronese_triangle(k)
-            pts = list(tri.lattice_points())
+            pts = list(lattice_points(tri))
             import itertools
 
             seen = set()
