@@ -2,7 +2,7 @@
 
 Reads polygon, surface, and ruled-surface data, dispatches to the library,
 and emits either human-readable tables or JSON.  Exit codes: 0 on success,
-1 on malformed input or a polygon pair too tall to sweep, 2 when a
+1 on malformed input or a polygon pair too tall to scan, 2 when a
 criterion or algorithm is inapplicable to the given input (for example
 translate containment or a non-effective divisor) - inapplicability is not
 a negative verdict.

@@ -558,6 +558,11 @@ def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
         raise NotConjugationFixedError("not conjugation-fixed")
     if not is_ample(s, cur):
         raise DelPezzoError("ample_step requires an ample divisor")
+    return _ample_step(s, cur)
+
+
+def _ample_step(s: SurfaceModel, cur: Divisor) -> AmpleStep:
+    """``ample_step`` on a divisor already known to be real and ample."""
     c, nvec, mvec, nef_n, nef_m = s._ample_step_classes
     evec = _vec_sub(cur, c)
     two_e = _scaled(evec, 2)
@@ -889,7 +894,7 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
             surf = contraction.target
             cur = nxt
             continue
-        ast = ample_step(surf, cur)
+        ast = _ample_step(surf, cur)
         if not ast.check["nef_E"]:
             raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
         check = dict(ast.check)

@@ -3,17 +3,18 @@
 Everything in this module is integer or rational arithmetic: convex hulls,
 dilations, Minkowski sums, closed-form lattice-point counts, translate
 containment as one exact interval per row, the connected-component
-bookkeeping for set differences ``P \\ Q'`` that feeds the toric transfer
-criterion, and the terminal tests (Lawrence prism, twice a unimodular
-triangle) as lattice invariants.  Every comparison is exact.
+bookkeeping for set differences ``P \\ Q'`` and its closed-form total over
+all translates, which feeds the toric transfer criterion, and the terminal
+tests (Lawrence prism, twice a unimodular triangle) as lattice invariants.
+Every comparison is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from math import gcd
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class LatticeGeometryError(ValueError):
@@ -371,20 +372,40 @@ def contains_lattice_translate(p: LatticePolygon, q: LatticePolygon) -> Optional
     allow and n.m >= c - min_v n.v for every inward halfplane n.x >= c of
     Q (both sides of the line when Q is a segment).  On each row my of the
     box these bounds leave one exact interval of mx; the witness is the
-    least lower end over the rows, ties going to the lower row.
+    least lower end over the rows, ties going to the lower row.  Rows
+    ascend and no lower end is below the box's, so the first row whose
+    interval starts there holds the witness.
     """
     pxmin, pymin, pxmax, pymax = p.bounding_box
     qxmin, qymin, qxmax, qymax = q.bounding_box
-    mx_lo, mx_hi = qxmin - pxmin, qxmax - pxmax
-    my_lo, my_hi = qymin - pymin, qymax - pymax
-    if mx_lo > mx_hi or my_lo > my_hi:
-        return None
-    planes = _inward_halfplanes(q)
-    if q.dim == 1:
-        planes += tuple((-nx, -ny, -c) for nx, ny, c in planes)
-    # a horizontal edge (nx = 0) only bounds my, as the box already does
-    bounds = [(nx, ny, c - min(nx * v.x + ny * v.y for v in p.vertices)) for nx, ny, c in planes if nx]
+    mx_lo = qxmin - pxmin
     best: Optional[tuple[int, int]] = None
+    for my, lo, hi in _row_intervals(q, 0, p.vertices, (mx_lo, qymin - pymin, qxmax - pxmax, qymax - pymax)):
+        if lo <= hi and (best is None or lo < best[0]):
+            best = (lo, my)
+            if lo == mx_lo:
+                break
+    return None if best is None else LatticePoint(*best)
+
+
+def _row_intervals(
+    bound: LatticePolygon, slack: int, points: Sequence[LatticePoint], box: tuple[int, int, int, int]
+) -> Iterator[tuple[int, int, int]]:
+    """(my, lo, hi) for each row my of box = (mx_lo, my_lo, mx_hi, my_hi),
+    ascending: [lo, hi] holds the mx of the box, if any, for which every
+    point w of points satisfies n.(w + m) >= c + slack, for each inward
+    halfplane n.x >= c of bound (both sides of the line when bound is a
+    segment).  That is nx*mx >= c + slack - min_w n.w - ny*my, one bound
+    per halfplane on each row.  A horizontal halfplane (nx = 0) only bounds
+    my, which the box must already do, so it is skipped.
+    """
+    mx_lo, my_lo, mx_hi, my_hi = box
+    if mx_lo > mx_hi or my_lo > my_hi:
+        return
+    planes = _inward_halfplanes(bound)
+    if bound.dim == 1:
+        planes += tuple((-nx, -ny, -c) for nx, ny, c in planes)
+    bounds = [(nx, ny, c + slack - min(nx * w.x + ny * w.y for w in points)) for nx, ny, c in planes if nx]
     for my in range(my_lo, my_hi + 1):
         lo, hi = mx_lo, mx_hi
         for nx, ny, r in bounds:
@@ -393,9 +414,7 @@ def contains_lattice_translate(p: LatticePolygon, q: LatticePolygon) -> Optional
                 lo = max(lo, -(-r // nx))
             else:
                 hi = min(hi, r // nx)
-        if lo <= hi and (best is None or lo < best[0]):
-            best = (lo, my)
-    return None if best is None else LatticePoint(*best)
+        yield my, lo, hi
 
 
 def _inward_halfplanes(q: LatticePolygon) -> tuple[tuple[int, int, int], ...]:
@@ -490,143 +509,73 @@ def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCou
     return ComponentCount(comps, comps - 1)
 
 
-def _normalized_line(a: int, b: int, k: int) -> tuple[int, int, int]:
-    """The line a*x + b*y = k with a > 0 and coprime coefficients (a != 0)."""
-    if a < 0:
-        a, b, k = -a, -b, -k
-    g = gcd(a, b, k)
-    return a // g, b // g, k // g
-
-
-def _event_segments(p: LatticePolygon, q: LatticePolygon) -> set[tuple[int, int, int, int, int]]:
-    """Non-horizontal segments of translate space where the covered-arc
-    pattern of the boundary of P under Q + m can change, as (a, b, k, y0, y1):
-    the part of the line a*mx + b*my = k with y0 <= my <= y1.
-
-    On these segments a vertex of P lies on an edge of Q + m, or a vertex of
-    Q + m lies on an edge of P.  Off them no vertex crosses the other
-    boundary, so the crossing points of the two boundaries move without
-    appearing, vanishing or passing a vertex, and the block count stays the
-    same.  Horizontal segments (a = 0) are dropped: a row holds one whole or
-    misses it, and each of its ends, where a vertex of P meets a vertex of
-    Q + m, is also an end of the segment for the other, non-horizontal edge
-    at that vertex.
-    """
-    segments = set()
-    for (c, d), (nx, ny, cq) in zip(q.edges, _inward_halfplanes(q)):
-        if nx:
-            for v in p.vertices:
-                y0, y1 = sorted((v.y - c.y, v.y - d.y))
-                segments.add(_normalized_line(nx, ny, nx * v.x + ny * v.y - cq) + (y0, y1))
-    for (a, b), (nx, ny, cp) in zip(p.edges, _inward_halfplanes(p)):
-        if nx:
-            for w in q.vertices:
-                y0, y1 = sorted((a.y - w.y, b.y - w.y))
-                segments.add(_normalized_line(nx, ny, cp - nx * w.x - ny * w.y) + (y0, y1))
-    return segments
-
-
-#: Rows of the zone P + (-Q) that one translate sweep may visit.  The
-#: sweep and the containment scan before it are linear in the rows, so a
-#: taller input is refused up front; the containment box never has more
-#: rows than the zone.
+#: Rows of the zone P + (-Q) that ``reduced_component_total`` accepts.  Its
+#: containment scan and its count of translates inside the interior of P
+#: are linear in the rows of their boxes, and neither box has more rows than
+#: the zone, so a taller input is refused up front.
 MAX_SWEEP_ROWS = 1_000_000
 
 
 def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
-    """Total reduced component count over all lattice translates of Q.
+    """Total reduced component count h over all lattice translates of Q:
+    the sum over m in Z^2 of (blocks(m) - 1)+, where blocks(m) is the number
+    of maximal arcs of the boundary of P that Q + m covers, so that
+    P \\ (Q + m) has max(blocks(m), 1) components (see
+    ``difference_components``).
 
     Requires the transfer hypothesis: no lattice translate of P fits inside
-    Q.  Translates of Q disjoint from P contribute nothing; the others are
-    the lattice points m of the zone P + (-Q), swept row by row (a zone of
-    more than ``MAX_SWEEP_ROWS`` rows is refused).  Along a row
-    the block count is constant between consecutive breakpoints, where the
-    row crosses an event segment (see ``_event_segments``).  With ``scale``
-    the lcm of the segments' x-coefficients, each segment becomes
-    (y0, y1, k, b), whose breakpoint on a row my in [y0, y1] is the integer
-    k - b*my in units of 1/scale.  Every segment lies in the zone and the
-    zone's side edges are covered by segments, so a row's first and last
-    breakpoints are its ends.  An integer breakpoint is evaluated on its own
-    (the sets are closed, so the count there may differ); each run of
-    integers strictly between breakpoints is evaluated once and weighted by
-    its length.
+    Q.  A zone P + (-Q) of more than ``MAX_SWEEP_ROWS`` rows is refused.
+    Then h has a closed form:
 
-    A row's signature is its active segments, grouped by equal breakpoint,
-    in x order.  Segment rows have integer ends and two segments can only
-    cross between rows by swapping their order, so while the signature stays
-    the same each run lies in the same cell of the arrangement as on the
-    previous row, and its block count is reused: key 2g names the open gap
-    just before group g, key 2g + 1 the integer breakpoint on group g.  The
-    signature holds from one row to the next exactly when no segment starts
-    or ends, every group lies on one line (segments of two lines meet once)
-    and the groups' breakpoints still increase; otherwise the row is sorted
-    afresh and the stored counts are dropped.
+        h = sum_i g_i (w_i + 1) - #L(P + (-Q)) + #{m : Q + m inside int P},
+
+    where edge e_i = [v_i, v_(i+1)] of P has lattice length g_i and
+    primitive normal n_i, and w_i = max - min of n_i.w over the vertices w
+    of Q.
+
+    Proof.  By the hypothesis Q' = Q + m never contains P, so the covered
+    set is a closed proper subset of the circle bounding P, and each of its
+    components has one first point going counter-clockwise.  On e_i the
+    covered part is one closed segment, since Q' is convex.  A component
+    starts on e_i, at a point of the half-open edge (v_i, v_(i+1)], exactly
+    when that segment is nonempty and v_i is not in Q'.  As v_i in Q'
+    implies the segment is nonempty,
+
+        blocks(m) = sum_i ([e_i meets Q'] - [v_i in Q']).
+
+    Over all m, e_i meets Q + m for the m in e_i + (-Q) and v_i lies in
+    Q + m for the m in v_i - Q, so the sum of blocks(m) is
+    sum_i (#L(e_i + (-Q)) - #L(Q)).  Adding the segment e_i to -Q adds
+    2 g_i w_i to twice its area and 2 g_i to its boundary count, so by Pick's
+    theorem #L(e_i + (-Q)) - #L(Q) = g_i (w_i + 1).  Finally blocks(m) >= 1 exactly
+    when Q + m meets the boundary of P, that is for the m of the zone
+    P + (-Q) except those with Q + m inside the interior of P (a translate
+    that meets P but not its boundary lies in the interior), so h is the
+    sum of the blocks minus that many translates.
+
+    The last count scans the rows of the box where the translates of Q
+    strictly fit inside P's bounding box, one exact interval of mx per row:
+    Q + m lies inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every
+    inward halfplane n_j.x >= c_j of P.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
-    _, pymin, _, pymax = p.bounding_box
-    _, qymin, _, qymax = q.bounding_box
+    pxmin, pymin, pxmax, pymax = p.bounding_box
+    qxmin, qymin, qxmax, qymax = q.bounding_box
     rows = pymax - pymin + qymax - qymin + 1  # the zone's rows
     if rows > MAX_SWEEP_ROWS:
-        raise LatticeGeometryError(f"P + (-Q) spans {rows} rows, more than the {MAX_SWEEP_ROWS} one sweep may visit")
+        raise LatticeGeometryError(f"P + (-Q) spans {rows} rows, more than the {MAX_SWEEP_ROWS} a row scan may visit")
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
-    clips = _clip_rows(p, q)
-    segments = _event_segments(p, q)
-    scale = lcm(*(a for a, _, _, _, _ in segments))
-    cuts = sorted({(y0, y1, scale // a * k, scale // a * b) for a, b, k, y0, y1 in segments})
-    ymax = max(y1 for _, y1, _, _ in cuts)
-    total = 0
-    active: list[tuple[int, int, int]] = []  # (y1, k, b) of the segments on the row
-    added = 0  # cuts[:added] have started
-    ends = ymax  # every active segment lasts through this row
-    lines: Optional[list[tuple[int, int]]] = None  # (k, b) per group while the signature holds
-    counts: dict[int, int] = {}
-    for my in range(cuts[0][0], ymax + 1):
-        if my > ends:
-            active = [seg for seg in active if seg[0] >= my]
-            lines = None
-        while added < len(cuts) and cuts[added][0] == my:
-            _, y1, k, b = cuts[added]
-            active.append((y1, k, b))
-            added += 1
-            lines = None
-        if lines is not None:
-            xs = [k - b * my for k, b in lines]
-            if any(x0 >= x1 for x0, x1 in zip(xs, xs[1:])):
-                lines = None
-        one_line = True  # every group of the row lies on one line
-        if lines is None:
-            ends = min(y1 for y1, _, _ in active)
-            counts = {}
-            xs, lines = [], []
-            for x, k, b in sorted((k - b * my, k, b) for _, k, b in active):
-                if xs and xs[-1] == x:
-                    one_line = one_line and lines[-1] == (k, b)
-                else:
-                    xs.append(x)
-                    lines.append((k, b))
-        prev = None
-        for g, x in enumerate(xs):
-            if prev is not None:
-                start = prev // scale + 1  # least integer after the previous breakpoint
-                width = -(-x // scale) - start  # integers strictly before this one
-                if width > 0:
-                    blocks = counts.get(2 * g)
-                    if blocks is None:
-                        blocks = counts[2 * g] = _covered_block_count(clips, start, my)
-                    if blocks > 1:
-                        total += (blocks - 1) * width
-            if x % scale == 0:
-                blocks = counts.get(2 * g + 1)
-                if blocks is None:
-                    blocks = counts[2 * g + 1] = _covered_block_count(clips, x // scale, my)
-                if blocks > 1:
-                    total += blocks - 1
-            prev = x
-        if not one_line:
-            lines = None
-    return total
+    covered = 0  # the sum of blocks(m) over all m
+    for a, b in p.edges:
+        g = gcd(b.x - a.x, b.y - a.y)
+        ux, uy = (b.x - a.x) // g, (b.y - a.y) // g
+        values = [ux * w.y - uy * w.x for w in q.vertices]
+        covered += g * (max(values) - min(values) + 1)
+    box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
+    inside = sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
+    return covered - minkowski_sum(p, q.reflect()).lattice_point_count + inside
 
 
 def standard_prism(h1: int, h2: int) -> LatticePolygon:

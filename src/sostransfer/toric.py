@@ -338,19 +338,21 @@ def _infer_context(p: LatticePolygon) -> str:
     return "ternary"
 
 
-def _family_candidates(cur: LatticePolygon, families: Sequence[str], context: str) -> list[LatticePolygon]:
-    cur_deg = step_multiplier_degree(cur, context)
-    out: list[LatticePolygon] = []
-    seen: set[LatticePolygon] = set()
+@lru_cache(maxsize=256)
+def _family_candidates(
+    families: tuple[str, ...], context: str, w: int, hgt: int, kmax: int, cur_deg: int
+) -> tuple[tuple[LatticePolygon, int, bool], ...]:
+    """(q, degree, terminal) for each candidate of the families cheaper than
+    cur_deg, ordered by degree then vertex list.  The candidates depend on a
+    state only through its bounding width w and height hgt, its ternary
+    degree kmax and its step degree cur_deg, so they are built once per
+    such key."""
+    out: dict[LatticePolygon, tuple[LatticePolygon, int, bool]] = {}
 
     def add(q: LatticePolygon) -> None:
-        if q.dim == 2 and q not in seen and step_multiplier_degree(q, context) < cur_deg:
-            seen.add(q)
-            out.append(q)
+        if q.dim == 2 and q not in out and (entry := _candidate(q, context))[1] < cur_deg:
+            out[q] = entry
 
-    xmin, ymin, xmax, ymax = cur.bounding_box
-    w, hgt = xmax - xmin, ymax - ymin
-    kmax = ternary_degree(cur)
     for fam in families:
         if fam == "squares":
             for k in range(1, max(w, hgt)):
@@ -375,22 +377,30 @@ def _family_candidates(cur: LatticePolygon, families: Sequence[str], context: st
                 add(q)
         else:
             raise ToricTransferError(f"unknown candidate family {fam!r}")
-    return out
+    return tuple(sorted(out.values(), key=lambda entry: (entry[1], entry[0].vertices)))
 
 
-def _greedy_step(cur: LatticePolygon, families: Sequence[str], ctx: str) -> Optional[PlanStep]:
+@lru_cache(maxsize=4096)
+def _candidate(q: LatticePolygon, context: str) -> tuple[LatticePolygon, int, bool]:
+    """(q, degree, terminal) of a candidate, one shared entry per polygon, so
+    that the candidate tuples of many states hold the same objects."""
+    return q, step_multiplier_degree(q, context), _is_terminal(q) is not None
+
+
+def _greedy_step(cur: LatticePolygon, families: tuple[str, ...], ctx: str) -> Optional[PlanStep]:
     """The planner's step from cur: a passing terminal candidate if any,
     else any passing candidate; the cheapest, then the largest margin, then
     the smallest canonical vertex list."""
-    candidates = _family_candidates(cur, families, ctx)
-    candidates.sort(key=lambda q: (step_multiplier_degree(q, ctx), q.vertices))
-    terminal = [_is_terminal(q) is not None for q in candidates]
+    xmin, ymin, xmax, ymax = cur.bounding_box
+    candidates = _family_candidates(
+        families, ctx, xmax - xmin, ymax - ymin, ternary_degree(cur), step_multiplier_degree(cur, ctx)
+    )
     for terminal_only in (True, False):
-        pool = [q for q, t in zip(candidates, terminal) if t == terminal_only]
         level: Optional[int] = None
         best: Optional[tuple[tuple[int, tuple], LatticePolygon, TransferVerdict]] = None
-        for q in pool:
-            deg = step_multiplier_degree(q, ctx)
+        for q, deg, terminal in candidates:
+            if terminal != terminal_only:
+                continue
             if level is not None and deg > level:
                 break
             try:
@@ -425,6 +435,7 @@ def plan_transfer(
     if p.dim != 2:
         raise DegeneratePolygonError("plan source must be full-dimensional")
     ctx = _infer_context(p)
+    families = tuple(families)
     return _descend(p, lambda cur: _greedy_step(cur, families, ctx), ctx)
 
 
@@ -455,12 +466,18 @@ def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:
 
     A canonical convex polygon is an angularly ordered chain of edge vectors
     summing to zero; the chain is built depth-first over primitive directions
-    with positive lengths, pruning on the triangle-degree bound.
+    with positive lengths, pruning on the triangle-degree bound.  Each k is
+    enumerated once per process.
     """
     if k < 1:
         return
     if k > 6:
         raise ToricTransferError("exhaustive enumeration is limited to degree 6")
+    yield from _convex_subpolygons(k)
+
+
+@lru_cache(maxsize=6)
+def _convex_subpolygons(k: int) -> tuple[LatticePolygon, ...]:
     dirs = _angular_sorted_primitive_dirs(k)
     n = len(dirs)
     seen: set[tuple] = set()
@@ -497,7 +514,7 @@ def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:
                 length += 1
 
     dfs(0, (0, 0), [(0, 0)], 0)
-    yield from results
+    return tuple(results)
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -225,6 +225,41 @@ def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     return total
 
 
+def _normalized_line(a: int, b: int, k: int) -> tuple[int, int, int]:
+    """The line a*x + b*y = k with a > 0 and coprime coefficients (a != 0)."""
+    if a < 0:
+        a, b, k = -a, -b, -k
+    g = gcd(a, b, k)
+    return a // g, b // g, k // g
+
+
+def event_segments(p: LatticePolygon, q: LatticePolygon) -> set[tuple[int, int, int, int, int]]:
+    """Non-horizontal segments of translate space where the covered-arc
+    pattern of the boundary of P under Q + m can change, as (a, b, k, y0, y1):
+    the part of the line a*mx + b*my = k with y0 <= my <= y1.
+
+    On these segments a vertex of P lies on an edge of Q + m, or a vertex of
+    Q + m lies on an edge of P; off them the block count stays the same.  A
+    corpus predicate: the sweep-oracle tests use it to show that their pairs
+    have breakpoints off the lattice, segments crossing between rows, or
+    segments sharing a line.
+    """
+    segments = set()
+    for c, d in q.edges:
+        nx, ny = c.y - d.y, d.x - c.x  # inward normal of Q's edge
+        if nx:
+            for v in p.vertices:
+                y0, y1 = sorted((v.y - c.y, v.y - d.y))
+                segments.add(_normalized_line(nx, ny, nx * (v.x - c.x) + ny * (v.y - c.y)) + (y0, y1))
+    for a, b in p.edges:
+        nx, ny = a.y - b.y, b.x - a.x  # inward normal of P's edge
+        if nx:
+            for w in q.vertices:
+                y0, y1 = sorted((a.y - w.y, b.y - w.y))
+                segments.add(_normalized_line(nx, ny, nx * (a.x - w.x) + ny * (a.y - w.y)) + (y0, y1))
+    return segments
+
+
 def hull_minkowski_sum(p: LatticePolygon, q: LatticePolygon) -> LatticePolygon:
     """P + Q as the convex hull of all pairwise vertex sums."""
     return LatticePolygon([a + b for a in p.vertices for b in q.vertices])

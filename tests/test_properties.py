@@ -5,32 +5,40 @@ Structural invariants run under hypothesis; the heavier randomized corpora
 total) use seeded generators from conftest.
 """
 
+import functools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sostransfer.lattice import (
     LatticePolygon,
+    _clip_rows,
+    _covered_block_count,
     contains_lattice_translate,
     difference_components,
     dilate,
     is_lawrence_prism,
     minkowski_sum,
+    rectangle,
     reduced_component_total,
     standard_prism,
+    veronese_triangle,
 )
 
 from conftest import (
     brute_force_component_total,
     brute_force_interior_count,
     brute_force_lattice_count,
+    component_oracle_pairs,
     edges_share_a_line,
     ehrhart_quadratic,
     flood_fill_components,
     is_lattice_equivalent,
+    lattice_points,
     random_polygon,
     random_unimodular,
     shoelace_area_twice,
+    structured_oracle_pairs,
     total_or_containment,
 )
 
@@ -79,6 +87,50 @@ def test_prism_recognition_round_trip(h1, h2):
         assert got == (max(h1, h2), min(h1, h2))
 
 
+def polygons_in_box(size: int):
+    return (
+        st.lists(st.tuples(st.integers(0, size), st.integers(0, size)), min_size=3, max_size=6)
+        .map(LatticePolygon)
+        .filter(lambda poly: poly.dim == 2)
+    )
+
+
+far_shifts = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+
+
+@st.composite
+def component_total_pairs(draw):
+    """(P, Q) with P random, a rectangle or a triangle kΔ, and Q drawn on
+    its own (often small enough to fit inside P's interior), as the hull of
+    some of P's vertices (edges on P's edge lines), or as -P (every edge
+    parallel to one of P's); each polygon is then moved by its own shift,
+    near or far."""
+    p = draw(
+        polygons_in_box(7)
+        | st.builds(rectangle, st.integers(1, 7), st.integers(1, 7))
+        | st.builds(veronese_triangle, st.integers(1, 7))
+    )
+    kind = draw(st.sampled_from(("independent", "collinear", "parallel")))
+    if kind == "independent":
+        q = draw(polygons_in_box(draw(st.sampled_from((2, 4, 7)))))
+    elif kind == "collinear":
+        q = LatticePolygon(draw(st.lists(st.sampled_from(p.vertices), min_size=3, unique=True)))
+        assume(q.dim == 2)
+    else:
+        q = p.reflect()
+    near = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    return p.translate(draw(near | far_shifts)), q.translate(draw(near | far_shifts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_total_pairs())
+def test_component_total_matches_per_translate_sweep(pair):
+    p, q = pair
+    assert total_or_containment(reduced_component_total, p, q) == total_or_containment(
+        brute_force_component_total, p, q
+    )
+
+
 def test_pick_identity_corpus():
     rng = random.Random(101)
     for _ in range(200):
@@ -113,13 +165,21 @@ def test_minkowski_edge_law_corpus():
         assert total.edge_direction_multiset == merged
 
 
+@functools.lru_cache(maxsize=1)
+def _structured_corpus():
+    return tuple(structured_oracle_pairs(random.Random(404), 120))
+
+
+@functools.lru_cache(maxsize=1)
+def _random_corpus():
+    return tuple(component_oracle_pairs(random.Random(414), 60))
+
+
 def test_component_oracle_structured_corpus():
     """Arc counting against the quarter-grid flood fill on pipeline shapes,
-    and the row sweep against the per-translate sweep on the same pairs."""
-    rng = random.Random(404)
-    from conftest import structured_oracle_pairs
-
-    for p, qp, expected in structured_oracle_pairs(rng, 120):
+    and the closed-form total against the per-translate sweep on the same
+    pairs."""
+    for p, qp, expected in _structured_corpus():
         got = difference_components(p, qp).components
         assert got == max(1, expected), (p.vertices, qp.vertices, got, expected)
         assert total_or_containment(reduced_component_total, p, qp) == total_or_containment(
@@ -129,16 +189,43 @@ def test_component_oracle_structured_corpus():
 
 def test_component_oracle_random_corpus():
     """Arc counting against the flood fill on grid-faithful random pairs,
-    and the row sweep against the per-translate sweep on the same pairs."""
-    rng = random.Random(414)
-    from conftest import component_oracle_pairs
-
-    for p, qp, expected in component_oracle_pairs(rng, 60):
+    and the closed-form total against the per-translate sweep on the same
+    pairs."""
+    for p, qp, expected in _random_corpus():
         got = difference_components(p, qp).components
         assert got == max(1, expected), (p.vertices, qp.vertices, got, expected)
         assert total_or_containment(reduced_component_total, p, qp) == total_or_containment(
             brute_force_component_total, p, qp
         )
+
+
+def _segment_meets(a, b, poly: LatticePolygon) -> bool:
+    """Whether the closed segment [a, b] meets the closed convex polygon:
+    no edge normal of either separates them (separating axes)."""
+    axes = [(d.y - c.y, c.x - d.x) for c, d in poly.edges] + [(b.y - a.y, a.x - b.x)]
+    for nx, ny in axes:
+        seg = (nx * a.x + ny * a.y, nx * b.x + ny * b.y)
+        pol = [nx * v.x + ny * v.y for v in poly.vertices]
+        if max(seg) < min(pol) or max(pol) < min(seg):
+            return False
+    return True
+
+
+def test_block_count_is_edge_meets_minus_vertex_inside():
+    """The lemma behind the closed-form total: while Q' does not contain P,
+    the covered arcs of the boundary of P number sum_i ([e_i meets Q'] -
+    [v_i in Q']), at every zone translate of both oracle corpora."""
+    checked = 0
+    for p, qp, _ in _structured_corpus() + _random_corpus():
+        clips = _clip_rows(p, qp)
+        for m in lattice_points(minkowski_sum(p, qp.reflect())):
+            moved = qp.translate(m)
+            if moved.contains_polygon(p):
+                continue
+            starts = sum(_segment_meets(a, b, moved) - moved.contains_point(a) for a, b in p.edges)
+            assert _covered_block_count(clips, m.x, m.y) == starts, (p, qp, m)
+            checked += 1
+    assert checked > 10_000
 
 
 def test_translate_total_unimodular_invariance():

@@ -288,6 +288,23 @@ class TestCaches:
         assert checks.cache_info().misses == c.misses
         assert states.cache_info().misses == s.misses
 
+    def test_candidates_and_enumeration_built_once(self):
+        from sostransfer import toric
+
+        candidates, polygons = toric._family_candidates, toric._convex_subpolygons
+        assert candidates.cache_info().maxsize is not None
+        assert polygons.cache_info().maxsize is not None
+        candidates.cache_clear()
+        polygons.cache_clear()
+        assert list(iter_convex_subpolygons(4)) == list(iter_convex_subpolygons(4))
+        assert polygons.cache_info().misses == 1
+        families = ("exhaustive", "prisms")
+        plan_transfer(veronese_triangle(4), families=families)
+        built = candidates.cache_info().misses
+        # a translated source meets states of the same sizes
+        plan_transfer(veronese_triangle(4).translate((7, -3)), families=families)
+        assert candidates.cache_info().misses == built
+
 
 class TestSubpolygonEnumeration:
     def test_matches_brute_force(self):
