@@ -1,12 +1,13 @@
 """Exact geometry of convex lattice polygons.
 
-Everything in this module is integer or rational arithmetic: convex hulls,
-dilations, Minkowski sums, closed-form lattice-point counts, translate
-containment as one exact interval per row, the connected-component
-bookkeeping for set differences ``P \\ Q'`` and its closed-form total over
-all translates, which feeds the toric transfer criterion, and the terminal
-tests (Lawrence prism, twice a unimodular triangle) as lattice invariants.
-Every comparison is exact.
+Everything in this module is integer arithmetic: convex hulls, dilations,
+Minkowski sums, closed-form lattice-point counts, translate containment as
+one exact interval per row (at most ``MAX_SWEEP_ROWS`` rows per scan), the
+component count of a set difference ``P \\ Q'`` by one covered-arc rule
+(edges of P meeting Q' minus vertices of P inside it) and the closed-form
+total of that count over all translates, which feeds the toric transfer
+criterion, and the terminal tests (Lawrence prism, twice a unimodular
+triangle) as lattice invariants.  Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -365,6 +366,13 @@ def interior_lattice_point_count(poly: LatticePolygon) -> int:
     return poly.interior_lattice_point_count
 
 
+#: Rows that one row scan (``_row_intervals``) visits at most.  The scan is
+#: linear in the rows of its box, so a taller box is refused instead of
+#: scanned.  ``reduced_component_total`` refuses a zone P + (-Q) of more rows
+#: up front, since neither of its boxes has more rows than the zone.
+MAX_SWEEP_ROWS = 1_000_000
+
+
 def contains_lattice_translate(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePoint]:
     """The least witness m, in (mx, my) order, with P + m contained in Q.
 
@@ -397,11 +405,16 @@ def _row_intervals(
     halfplane n.x >= c of bound (both sides of the line when bound is a
     segment).  That is nx*mx >= c + slack - min_w n.w - ny*my, one bound
     per halfplane on each row.  A horizontal halfplane (nx = 0) only bounds
-    my, which the box must already do, so it is skipped.
+    my, which the box must already do, so it is skipped.  A nonempty box of
+    more than ``MAX_SWEEP_ROWS`` rows is refused before any row is scanned.
     """
     mx_lo, my_lo, mx_hi, my_hi = box
     if mx_lo > mx_hi or my_lo > my_hi:
         return
+    if my_hi - my_lo >= MAX_SWEEP_ROWS:
+        raise LatticeGeometryError(
+            f"the translate box spans {my_hi - my_lo + 1} rows, more than the {MAX_SWEEP_ROWS} a row scan may visit"
+        )
     planes = _inward_halfplanes(bound)
     if bound.dim == 1:
         planes += tuple((-nx, -ny, -c) for nx, ny, c in planes)
@@ -427,93 +440,35 @@ def _inward_halfplanes(q: LatticePolygon) -> tuple[tuple[int, int, int], ...]:
     return tuple(planes)
 
 
-def _clip_rows(p: LatticePolygon, q: LatticePolygon) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-    """Per edge a + t*(dx, dy) of P, per inward halfplane (nx, ny, c) of Q,
-    the tuple (nx, ny, f0, df) with f0 = nx*ax + ny*ay - c and
-    df = nx*dx + ny*dy: on that edge the halfplane of Q + (mx, my) is
-    f0 - nx*mx - ny*my + t*df >= 0."""
-    planes = _inward_halfplanes(q)
-    return tuple(
-        tuple((nx, ny, nx * a.x + ny * a.y - c, nx * (b.x - a.x) + ny * (b.y - a.y)) for nx, ny, c in planes)
-        for a, b in p.edges
-    )
-
-
-def _covered_block_count(clip_rows: Sequence[Sequence[tuple[int, int, int, int]]], mx: int, my: int) -> int:
-    """Number of maximal arcs of the boundary of P covered by Q + (mx, my),
-    for the clip rows of (P, Q) from ``_clip_rows``.
-
-    The boundary of P is parametrized by scalar position i + t along edge i.
-    Each edge meets the convex translate in a single closed sub-interval,
-    clipped in integer arithmetic; positions are exact fractions.  Touching
-    intervals merge (closed-set semantics), including circularly.
-
-    The sub-interval of edge i starts at i + t with t in [0, 1], and edges
-    are visited in order, so the intervals arrive sorted by start.
-    """
-    intervals: list[tuple[int, int, int, int]] = []  # (s_num, s_den, e_num, e_den)
-    for i, row in enumerate(clip_rows):
-        lo_n, lo_d = 0, 1
-        hi_n, hi_d = 1, 1
-        empty = False
-        for nx, ny, f0, df in row:
-            f0 -= nx * mx + ny * my
-            if df == 0:
-                if f0 < 0:
-                    empty = True
-                    break
-            elif df > 0:
-                # constraint t >= -f0/df
-                if -f0 * lo_d > lo_n * df:
-                    lo_n, lo_d = -f0, df
-            else:
-                # constraint t <= f0/(-df)
-                if f0 * hi_d < hi_n * (-df):
-                    hi_n, hi_d = f0, -df
-        if empty or lo_n * hi_d > hi_n * lo_d:
-            continue
-        intervals.append((i * lo_d + lo_n, lo_d, i * hi_d + hi_n, hi_d))
-    if not intervals:
-        return 0
-    first_s_num, first_s_den = intervals[0][0], intervals[0][1]
-    cur_n, cur_d = intervals[0][2], intervals[0][3]
-    blocks = 1
-    for s_num, s_den, e_num, e_den in intervals[1:]:
-        if s_num * cur_d <= cur_n * s_den:
-            if e_num * cur_d > cur_n * e_den:
-                cur_n, cur_d = e_num, e_den
-        else:
-            blocks += 1
-            cur_n, cur_d = e_num, e_den
-    if blocks > 1 and cur_n == len(clip_rows) * cur_d and first_s_num == 0:
-        blocks -= 1
-    return blocks
-
-
 def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCount:
     """Connected components of the closed set difference P \\ Q'.
 
     Both polygons closed; a region of P touching the rest only at points
     swallowed by Q' counts as a separate component.  The count equals the
     number of maximal arcs of the boundary of P outside Q' (at least one
-    component whenever the difference is nonempty).
+    component whenever the difference is nonempty).  While Q' does not
+    contain P, Q' covers sum_i ([e_i meets Q'] - [v_i in Q']) arcs of it,
+    for the edges e_i = [v_i, v_(i+1)] of P (the proof is in
+    ``reduced_component_total``).  The segment e_i misses Q' exactly when a
+    separating axis exists: both ends lie strictly outside one inward
+    halfplane n.x >= c of Q', or every vertex of Q' lies strictly on one
+    side of the line of e_i.
     """
     if p.dim != 2:
         raise DegeneratePolygonError("P must be full-dimensional")
     if qp.dim != 2:
         raise DegeneratePolygonError("Q' must be full-dimensional")
-    if qp.contains_polygon(p):
+    planes = _inward_halfplanes(qp)
+    outside = [{j for j, (nx, ny, c) in enumerate(planes) if nx * v.x + ny * v.y < c} for v in p.vertices]
+    if not any(outside):
         raise EmptyDifferenceError("empty difference")
-    blocks = _covered_block_count(_clip_rows(p, qp), 0, 0)
+    blocks = 0
+    for (a, b), out_a, out_b in zip(p.edges, outside, outside[1:] + outside[:1]):
+        sides = [_cross(a, b, w) for w in qp.vertices]
+        blocks += not (out_a & out_b or min(sides) > 0 or max(sides) < 0)
+        blocks -= not out_a
     comps = max(1, blocks)
     return ComponentCount(comps, comps - 1)
-
-
-#: Rows of the zone P + (-Q) that ``reduced_component_total`` accepts.  Its
-#: containment scan and its count of translates inside the interior of P
-#: are linear in the rows of their boxes, and neither box has more rows than
-#: the zone, so a taller input is refused up front.
-MAX_SWEEP_ROWS = 1_000_000
 
 
 def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:

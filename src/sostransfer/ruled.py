@@ -25,6 +25,10 @@ class ScheduleError(ValueError):
     """No valid schedule at this degree; carries the failing constraint."""
 
 
+#: The fields of ruled data JSON, in the order of ``RuledData``.
+_JSON_FIELDS = ("minusK_dot_H", "H_dot_HplusK", "chiO", "ell")
+
+
 @dataclass(frozen=True)
 class RuledData:
     """Numeric invariants of an embedded ruled surface and its blow-up.
@@ -63,25 +67,21 @@ class RuledData:
         return self.H_dot_HplusK == 0 and self.chiO <= 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "minusK_dot_H": self.minusK_dot_H,
-            "H_dot_HplusK": self.H_dot_HplusK,
-            "chiO": self.chiO,
-            "ell": self.ell,
-        }
+        return {name: getattr(self, name) for name in _JSON_FIELDS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RuledData":
-        try:
-            return cls(
-                int(data["minusK_dot_H"]),
-                int(data["H_dot_HplusK"]),
-                int(data["chiO"]),
-                int(data["ell"]),
-                ell_trusted=True,
-            )
-        except KeyError as exc:
-            raise RuledDataError(f"missing field {exc.args[0]!r}") from None
+        """The data of a JSON object holding the four fields as integers
+        (booleans, floats and strings are refused, not converted)."""
+        if not isinstance(data, dict):
+            raise RuledDataError("ruled data JSON must be an object")
+        for name in _JSON_FIELDS:
+            if name not in data:
+                raise RuledDataError(f"missing field {name!r}")
+            value = data[name]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise RuledDataError(f"field {name!r} must be an integer, got {value!r}")
+        return cls(*(data[name] for name in _JSON_FIELDS), ell_trusted=True)
 
 
 def nef_threshold(

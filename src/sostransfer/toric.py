@@ -338,6 +338,10 @@ def _infer_context(p: LatticePolygon) -> str:
     return "ternary"
 
 
+#: The candidate families that ``plan_transfer`` accepts.
+_FAMILIES = ("squares", "rectangles", "veronese", "trapezoids", "prisms", "exhaustive")
+
+
 @lru_cache(maxsize=256)
 def _family_candidates(
     families: tuple[str, ...], context: str, w: int, hgt: int, kmax: int, cur_deg: int
@@ -375,8 +379,6 @@ def _family_candidates(
         elif fam == "exhaustive":
             for q in iter_convex_subpolygons(min(kmax, 6)):
                 add(q)
-        else:
-            raise ToricTransferError(f"unknown candidate family {fam!r}")
     return tuple(sorted(out.values(), key=lambda entry: (entry[1], entry[0].vertices)))
 
 
@@ -428,14 +430,19 @@ def plan_transfer(
     At each state the one-step lookahead tries terminal polygons first (by
     ascending multiplier degree); otherwise the cheapest passing candidate is
     taken.  Ties break toward larger margin, then the lexicographically
-    smallest canonical vertex list, so plans are reproducible.
+    smallest canonical vertex list, so plans are reproducible.  Every name
+    in families must be one of ``_FAMILIES``; an unknown name is refused
+    before the search starts, whatever the source.
     """
+    families = tuple(families)
     if not families:
         raise ToricTransferError("candidate families must be nonempty")
+    for fam in families:
+        if fam not in _FAMILIES:
+            raise ToricTransferError(f"unknown candidate family {fam!r}")
     if p.dim != 2:
         raise DegeneratePolygonError("plan source must be full-dimensional")
     ctx = _infer_context(p)
-    families = tuple(families)
     return _descend(p, lambda cur: _greedy_step(cur, families, ctx), ctx)
 
 

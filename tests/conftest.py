@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
@@ -18,8 +18,7 @@ from sostransfer.lattice import (
     LatticePoint,
     LatticePolygon,
     TranslateContainmentError,
-    _clip_rows,
-    _covered_block_count,
+    _inward_halfplanes,
     dilate,
     minkowski_sum,
 )
@@ -204,6 +203,69 @@ def brute_force_interior_count(poly: LatticePolygon) -> int:
             ):
                 count += 1
     return count
+
+
+def _clip_rows(p: LatticePolygon, q: LatticePolygon) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per edge a + t*(dx, dy) of P, per inward halfplane (nx, ny, c) of Q,
+    the tuple (nx, ny, f0, df) with f0 = nx*ax + ny*ay - c and
+    df = nx*dx + ny*dy: on that edge the halfplane of Q + (mx, my) is
+    f0 - nx*mx - ny*my + t*df >= 0."""
+    planes = _inward_halfplanes(q)
+    return tuple(
+        tuple((nx, ny, nx * a.x + ny * a.y - c, nx * (b.x - a.x) + ny * (b.y - a.y)) for nx, ny, c in planes)
+        for a, b in p.edges
+    )
+
+
+def _covered_block_count(clip_rows: Sequence[Sequence[tuple[int, int, int, int]]], mx: int, my: int) -> int:
+    """Number of maximal arcs of the boundary of P covered by Q + (mx, my),
+    for the clip rows of (P, Q) from ``_clip_rows``.
+
+    The boundary of P is parametrized by scalar position i + t along edge i.
+    Each edge meets the convex translate in a single closed sub-interval,
+    clipped in integer arithmetic; positions are exact fractions.  Touching
+    intervals merge (closed-set semantics), including circularly.
+
+    The sub-interval of edge i starts at i + t with t in [0, 1], and edges
+    are visited in order, so the intervals arrive sorted by start.
+    """
+    intervals: list[tuple[int, int, int, int]] = []  # (s_num, s_den, e_num, e_den)
+    for i, row in enumerate(clip_rows):
+        lo_n, lo_d = 0, 1
+        hi_n, hi_d = 1, 1
+        empty = False
+        for nx, ny, f0, df in row:
+            f0 -= nx * mx + ny * my
+            if df == 0:
+                if f0 < 0:
+                    empty = True
+                    break
+            elif df > 0:
+                # constraint t >= -f0/df
+                if -f0 * lo_d > lo_n * df:
+                    lo_n, lo_d = -f0, df
+            else:
+                # constraint t <= f0/(-df)
+                if f0 * hi_d < hi_n * (-df):
+                    hi_n, hi_d = f0, -df
+        if empty or lo_n * hi_d > hi_n * lo_d:
+            continue
+        intervals.append((i * lo_d + lo_n, lo_d, i * hi_d + hi_n, hi_d))
+    if not intervals:
+        return 0
+    first_s_num, first_s_den = intervals[0][0], intervals[0][1]
+    cur_n, cur_d = intervals[0][2], intervals[0][3]
+    blocks = 1
+    for s_num, s_den, e_num, e_den in intervals[1:]:
+        if s_num * cur_d <= cur_n * s_den:
+            if e_num * cur_d > cur_n * e_den:
+                cur_n, cur_d = e_num, e_den
+        else:
+            blocks += 1
+            cur_n, cur_d = e_num, e_den
+    if blocks > 1 and cur_n == len(clip_rows) * cur_d and first_s_num == 0:
+        blocks -= 1
+    return blocks
 
 
 def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:

@@ -46,6 +46,8 @@ from sostransfer.toric import (
 )
 
 from conftest import (
+    _clip_rows,
+    _covered_block_count,
     brute_force_component_total,
     component_oracle_pairs,
     ehrhart_quadratic,
@@ -281,12 +283,14 @@ def test_c12_geometry_property_suite():
         instances += 1
     for p, qp, expected in structured_oracle_pairs(rng, 100):
         assert difference_components(p, qp).components == max(1, expected)
+        assert max(1, _covered_block_count(_clip_rows(p, qp), 0, 0)) == expected
         assert total_or_containment(reduced_component_total, p, qp) == total_or_containment(
             brute_force_component_total, p, qp
         )
         instances += 1
     for p, qp, expected in component_oracle_pairs(rng, 50):
         assert difference_components(p, qp).components == max(1, expected)
+        assert max(1, _covered_block_count(_clip_rows(p, qp), 0, 0)) == expected
         instances += 1
     assert instances >= 500
     print(f"ACCEPTANCE 12 PASS - {instances} randomized geometry instances, zero failures")

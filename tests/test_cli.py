@@ -75,6 +75,13 @@ class TestToricPlan:
         assert payload["terminal"] == {"vertices": [[0, 0], [2, 0], [0, 2]]}
 
 
+    def test_unknown_family_on_terminal_source(self, capsys):
+        delta1 = '{"vertices":[[0,0],[1,0],[0,1]]}'
+        code, out, err = invoke(capsys, "toric-plan", "--p", delta1, "--families", "bogus", "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'bogus'" in err
+
+
 class TestHilbert:
     def test_improved_degree_five(self, capsys):
         code, out, _ = invoke(capsys, "hilbert", "--d", "5", "--improved")
@@ -157,6 +164,27 @@ class TestRuled:
         payload = json.loads(out)
         assert payload["total_H_degree"] == 75
         assert payload["steps_counted"] == 10
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ('{"minusK_dot_H":6.9,"H_dot_HplusK":0,"chiO":0,"ell":1}', "minusK_dot_H"),
+            ('{"minusK_dot_H":6,"H_dot_HplusK":0,"chiO":0,"ell":true}', "ell"),
+            ('{"minusK_dot_H":"6","H_dot_HplusK":0,"chiO":0,"ell":1}', "minusK_dot_H"),
+            ('{"minusK_dot_H":6,"H_dot_HplusK":0,"chiO":null,"ell":1}', "chiO"),
+        ],
+    )
+    def test_non_integer_field(self, capsys, data, field):
+        code, out, err = invoke(capsys, "ruled-schedule", "--data", data, "--d", "5", "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"'{field}'" in err and "Traceback" not in err
+
+    def test_data_file_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text("[1,2]")
+        code, out, err = invoke(capsys, "ruled-bound", "--data", str(path), "--d", "10", "--d0", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "object" in err and "Traceback" not in err
 
     def test_missing_data(self, capsys):
         code, _, err = invoke(capsys, "ruled-schedule", "--d", "5")

@@ -11,6 +11,7 @@ from sostransfer.lattice import (
     EmptyDifferenceError,
     EmptyPointSetError,
     LatticeGeometryError,
+    MAX_SWEEP_ROWS,
     LatticePoint,
     LatticePolygon,
     TranslateContainmentError,
@@ -33,6 +34,8 @@ from sostransfer.toric import iter_convex_subpolygons
 
 from conftest import (
     TWICE_UNIT_TRIANGLE,
+    _clip_rows,
+    _covered_block_count,
     brute_force_component_total,
     brute_force_contains_translate,
     brute_force_interior_count,
@@ -164,6 +167,16 @@ class TestTranslateSearch:
         start = time.perf_counter()
         assert contains_lattice_translate(veronese_triangle(2), sliver) is None
         assert time.perf_counter() - start < 1.0
+
+    def test_tall_box_is_refused_up_front(self):
+        # the same sliver at height n: its box has n - 1 rows and no witness,
+        # so past the row budget the scan is refused before its first row
+        for n in (MAX_SWEEP_ROWS + 2, 10**12):
+            sliver = LatticePolygon([(0, 0), (n, n), (n, n - 1)])
+            start = time.perf_counter()
+            with pytest.raises(LatticeGeometryError, match="rows"):
+                contains_lattice_translate(veronese_triangle(2), sliver)
+            assert time.perf_counter() - start < 1.0
 
 
 def _point_set(rng: random.Random, size: int) -> LatticePolygon:
@@ -373,21 +386,20 @@ class TestReuseSweepOracle:
 
     def test_tall_zones_share_signatures(self, monkeypatch):
         calls = []
-        counted = lattice._covered_block_count
+        counted = lattice.difference_components
 
-        def spy(clips, mx, my):
-            calls.append((mx, my))
-            return counted(clips, mx, my)
+        def spy(p, qp):
+            calls.append((p, qp))
+            return counted(p, qp)
 
         rng = random.Random(636)
         for _ in range(80):
             p = _random_in_box(rng, rng.randint(1, 4), rng.randint(40, 120))
             q = random_polygon(rng, max_coord=rng.choice((2, 3)))
             with monkeypatch.context() as mp:
-                mp.setattr(lattice, "_covered_block_count", spy)
+                mp.setattr(lattice, "difference_components", spy)
                 self._agree(p, q)
         # the total is a closed form: it counts no blocks at any translate
-        # (the oracle imported its own reference to the block count)
         assert calls == []
 
     def test_near_horizontal_edges_cross_between_rows(self):
@@ -501,6 +513,7 @@ class TestExactArcOrder:
             arcs, starts = fraction_covered_arcs(p, qp)
             # distinct exact starts that one float key cannot tell apart
             assert any(a != b and float(a) == float(b) for a, b in zip(starts, starts[1:]))
+            assert _covered_block_count(_clip_rows(p, qp), 0, 0) == arcs
             assert difference_components(p, qp).components == max(1, arcs)
 
 

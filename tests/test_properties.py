@@ -12,8 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sostransfer.lattice import (
     LatticePolygon,
-    _clip_rows,
-    _covered_block_count,
     contains_lattice_translate,
     difference_components,
     dilate,
@@ -26,6 +24,8 @@ from sostransfer.lattice import (
 )
 
 from conftest import (
+    _clip_rows,
+    _covered_block_count,
     brute_force_component_total,
     brute_force_interior_count,
     brute_force_lattice_count,
@@ -212,9 +212,12 @@ def _segment_meets(a, b, poly: LatticePolygon) -> bool:
 
 
 def test_block_count_is_edge_meets_minus_vertex_inside():
-    """The lemma behind the closed-form total: while Q' does not contain P,
-    the covered arcs of the boundary of P number sum_i ([e_i meets Q'] -
-    [v_i in Q']), at every zone translate of both oracle corpora."""
+    """The lemma behind the closed-form total and ``difference_components``:
+    while Q' does not contain P, the covered arcs of the boundary of P
+    number sum_i ([e_i meets Q'] - [v_i in Q']).  At every zone translate of
+    both oracle corpora, the fraction-interval merge agrees with the lemma
+    (by a separating-axis test written here) and with
+    ``difference_components``."""
     checked = 0
     for p, qp, _ in _structured_corpus() + _random_corpus():
         clips = _clip_rows(p, qp)
@@ -222,8 +225,10 @@ def test_block_count_is_edge_meets_minus_vertex_inside():
             moved = qp.translate(m)
             if moved.contains_polygon(p):
                 continue
+            oracle = _covered_block_count(clips, m.x, m.y)
             starts = sum(_segment_meets(a, b, moved) - moved.contains_point(a) for a, b in p.edges)
-            assert _covered_block_count(clips, m.x, m.y) == starts, (p, qp, m)
+            assert oracle == starts, (p, qp, m)
+            assert difference_components(p, moved).components == max(1, oracle), (p, qp, m)
             checked += 1
     assert checked > 10_000
 

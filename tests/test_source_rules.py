@@ -1,5 +1,6 @@
-"""Rules the source tree keeps: no floating-point arithmetic in ``src``, and
-every cache in ``src`` has an integer bound."""
+"""Rules the source tree keeps: no floating-point arithmetic in ``src``,
+every cache in ``src`` has an integer bound, and every private module-level
+name in ``src`` is read somewhere in ``src``."""
 
 import ast
 from pathlib import Path
@@ -65,14 +66,44 @@ def _unbounded_caches(tree: ast.AST) -> list[str]:
     return found
 
 
-def _rule_violations(rule) -> dict[str, list[str]]:
+def _orphaned_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level functions, classes and constants (one leading
+    underscore) that no code in trees reads, as "module:name".  A read is a
+    loaded name or an attribute outside the name's own top-level statement,
+    so a helper that only calls itself counts as orphaned."""
+    defined = []
+    reads: set[str] = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, ast.Assign):
+                own = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                own = {node.target.id}
+            else:
+                own = set()
+            defined += [(module, name) for name in own if name.startswith("_") and not name.startswith("__")]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in own:
+                    reads.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and sub.attr not in own:
+                    reads.add(sub.attr)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in reads)
+
+
+def _src_trees() -> dict[str, ast.Module]:
     files = sorted(SRC.glob("*.py"))
     assert files
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in files}
+
+
+def _rule_violations(rule) -> dict[str, list[str]]:
     found = {}
-    for path in files:
-        uses = rule(ast.parse(path.read_text(), filename=str(path)))
+    for name, tree in _src_trees().items():
+        uses = rule(tree)
         if uses:
-            found[path.name] = uses
+            found[name] = uses
     return found
 
 
@@ -82,6 +113,31 @@ def test_src_has_no_floats():
 
 def test_src_caches_are_bounded():
     assert _rule_violations(_unbounded_caches) == {}
+
+
+def test_src_private_names_are_read():
+    assert _orphaned_private_names(_src_trees()) == []
+
+
+def test_the_orphan_rule_catches_unused_helpers():
+    helpers = ast.parse(
+        "_LIMIT = 3\n"
+        "_USED: int = 4\n"
+        "__all__ = ['public']\n"
+        "class _Gone: pass\n"
+        "def _orphan(): return _USED\n"
+        "def _self(n): return _self(n - 1)\n"
+        "def _called(): pass\n"
+        "def _by_attribute(): pass\n"
+        "def public(): return _called()\n"
+    )
+    caller = ast.parse("import helpers\nx = helpers._by_attribute()\n")
+    assert _orphaned_private_names({"helpers.py": helpers, "caller.py": caller}) == [
+        "helpers.py:_Gone",
+        "helpers.py:_LIMIT",
+        "helpers.py:_orphan",
+        "helpers.py:_self",
+    ]
 
 
 def test_the_rule_catches_each_kind():

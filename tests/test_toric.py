@@ -219,6 +219,13 @@ class TestPlanner:
             plan_transfer(veronese_triangle(6), families=("squares",))
         assert err.value.partial_steps == ()
 
+    def test_unknown_family_is_refused_up_front(self):
+        # Δ is terminal, so no step would ever build the candidates; the
+        # name is still checked, on terminal and nonterminal sources alike
+        for source in (veronese_triangle(1), veronese_triangle(6)):
+            with pytest.raises(ToricTransferError, match="unknown candidate family 'bogus'"):
+                plan_transfer(source, families=("veronese", "bogus"))
+
 
 class TestImprovedPipeline:
     def test_degree_five_closes_with_prism(self):
