@@ -221,14 +221,12 @@ def solve_quadratic_lattice(
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)) for i in range(rows)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:

@@ -2,7 +2,8 @@
 
 Reads polygon, surface, and ruled-surface data, dispatches to the library,
 and emits either human-readable tables or JSON.  Exit codes: 0 on success,
-1 on malformed input or a polygon pair too tall to scan, 2 when a
+1 on malformed input or on work past a budget (a polygon pair too tall to
+scan, a toric chain or a ruled ladder with too many steps), 2 when a
 criterion or algorithm is inapplicable to the given input (for example
 translate containment or a non-effective divisor) - inapplicability is not
 a negative verdict.
@@ -40,10 +41,10 @@ def _emit_json(obj) -> None:
 
 
 def _read_json(source: str, what: str):
-    """The JSON value of ``source``, given inline (starting with '{') or as
-    a file path; ``what`` names the input in error messages."""
+    """The JSON value of ``source``, given inline (starting with '{' or '[')
+    or as a file path; ``what`` names the input in error messages."""
     text = source.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()

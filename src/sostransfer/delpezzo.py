@@ -600,18 +600,14 @@ class Contraction:
     source: SurfaceModel
     target: SurfaceModel
     contracted: tuple[Divisor, ...]
-    _basis: tuple[Divisor, ...]
-    _matrix: tuple[tuple[int, ...], ...]  # target coords of the basis columns
+    _push: tuple[tuple[int, ...], ...]  # source coords -> target coords
 
     def push(self, d: Sequence[int]) -> Divisor:
         """Pushforward of a class orthogonal to the contracted curves."""
         for c in self.contracted:
             if self.source.intersect(d, c) != 0:
                 raise NotContractibleError("class is not orthogonal to the contracted curves")
-        y = solve_in_column_span(self._basis, tuple(d))
-        if y is None:
-            raise DelPezzoError("class does not lie on the contracted sublattice")
-        return mat_vec(self._matrix, y)
+        return mat_vec(self._push, d)
 
 
 def _find_marked_isometry(
@@ -697,8 +693,11 @@ def contract_along(s: SurfaceModel, curves) -> Contraction:
 
     The image lattice is realized as the orthogonal complement of the
     contracted classes (with the induced form, involution, and canonical
-    class) and then identified with the catalogued model of the right degree
-    by an exact marked-lattice isomorphism.
+    class) and then identified, by an exact marked-lattice isomorphism, with
+    the one catalogued model of the same degree, real Picard rank and number
+    of real (-1)-curves.  The contraction keeps the composite of the
+    projection onto the complement and that isomorphism as one integer
+    matrix.
     """
     if curves and isinstance(curves[0], int):
         curve_list = (tuple(curves),)
@@ -723,37 +722,36 @@ def _contract(s: SurfaceModel, curve_list: tuple[Divisor, ...]) -> Contraction:
     else:
         raise NotContractibleError("contract one real curve or one conjugate pair")
     n = s.rank
-    basis = kernel_basis([s.pairing_row(c) for c in curve_list], n)
+    rows = [s.pairing_row(c) for c in curve_list]
+    basis = kernel_basis(rows, n)
     k = len(basis)
+    # the curves pair to -I, so d -> d + sum_c (d.c) c projects the lattice
+    # onto their orthogonal complement (and K onto K - sum_c c); column j of
+    # proj holds the basis coordinates of the projected unit vector e_j
+    cols = []
+    for j, e in enumerate(identity(n)):
+        for c, row in zip(curve_list, rows):
+            e = _vec_add(e, _scaled(c, row[j]))
+        cols.append(solve_in_column_span(basis, e))
+    proj = tuple(zip(*cols))
     gram2 = tuple(
         tuple(s.intersect(basis[i], basis[j]) for j in range(k)) for i in range(k)
     )
-    k_shift = tuple(s.K)
-    for c in curve_list:
-        k_shift = _vec_sub(k_shift, c)
-    k2 = solve_in_column_span(basis, k_shift)
-    if k2 is None:
-        raise DelPezzoError("canonical class did not descend")
-    tau_cols = []
-    for b in basis:
-        img = solve_in_column_span(basis, s.tau_image(b))
-        if img is None:
-            raise DelPezzoError("involution did not descend")
-        tau_cols.append(img)
-    tau2 = tuple(tuple(tau_cols[j][i] for j in range(k)) for i in range(k))
+    k2 = mat_vec(proj, s.K)
+    tau2 = mat_mul(mat_mul(proj, s.tau), tuple(zip(*basis)))
     degree2 = sum(k2[i] * gram2[i][j] * k2[j] for i in range(k) for j in range(k))
-    # identify the catalogued target, preferring rows with matching counts;
-    # the (-1)-classes of the image are those of s orthogonal to the curves
+    # a marked isometry keeps the degree, the real rank and the real
+    # (-1)-curves, which are those of s orthogonal to the curves; no two
+    # catalogue rows share all three
     rho2 = SurfaceModel("?", degree2, ("?",) * k, gram2, k2, tau2).real_rank
     reals, _ = real_negative_curves(s)
     n_reals2 = sum(1 for r in reals if all(s.intersect(r, c) == 0 for c in curve_list))
-    candidates = [row for row in CATALOGUE_TABLE if row[1] == degree2]
-    candidates.sort(key=lambda row: (row[2] != rho2, row[3] != n_reals2))
-    for row in candidates:
-        target = surface_from_name(row[0])
-        m = _find_marked_isometry(gram2, k2, tau2, target)
-        if m is not None:
-            return Contraction(s, target, curve_list, tuple(basis), m)
+    for name, *invariants in CATALOGUE_TABLE:
+        if invariants == [degree2, rho2, n_reals2]:
+            target = surface_from_name(name)
+            m = _find_marked_isometry(gram2, k2, tau2, target)
+            if m is not None:
+                return Contraction(s, target, curve_list, mat_mul(m, proj))
     raise DelPezzoError(f"no catalogued target of degree {degree2} matches the contraction")
 
 
@@ -919,49 +917,10 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
 # -- JSON -----------------------------------------------------------------------
 
 
-def divisor_to_json_dict(s: SurfaceModel, d: Sequence[int]) -> dict:
-    return {"surface": s.name, "coeffs": list(d)}
-
-
-def divisor_from_json_dict(data: dict) -> tuple[SurfaceModel, Divisor]:
-    s = surface_from_name(data["surface"])
-    coeffs = data["coeffs"]
-    if len(coeffs) != s.rank or not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
-        raise DelPezzoError("coeffs must be integers matching the Picard rank")
-    return s, tuple(coeffs)
-
-
 def _check_to_json(check: Optional[dict]) -> Optional[dict]:
     if check is None:
         return None
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in check.items()}
-
-
-def _check_from_json(check: Optional[dict]) -> Optional[dict]:
-    if check is None:
-        return None
-    return {k: (tuple(v) if isinstance(v, list) else v) for k, v in check.items()}
-
-
-def transfer_from_json_dict(data: dict) -> DelPezzoTransfer:
-    steps = tuple(
-        TransferStep(
-            kind=st["kind"],
-            surface=st["surface"],
-            divisor=tuple(st["divisor"]),
-            witness=tuple(tuple(w) for w in st["witness"]),
-            check=_check_from_json(st["check"]),
-            result=tuple(st["result"]) if st["result"] is not None else None,
-        )
-        for st in data["steps"]
-    )
-    return DelPezzoTransfer(
-        surface=data["surface"],
-        start=tuple(data["divisor"]),
-        steps=steps,
-        terminal_kind=data["terminal_kind"],
-        certificate_kind=data["certificate_kind"],
-    )
 
 
 def transfer_to_json_dict(t: DelPezzoTransfer) -> dict:

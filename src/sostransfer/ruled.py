@@ -18,12 +18,18 @@ from typing import Sequence
 
 
 class RuledDataError(ValueError):
-    """Invalid ruled-surface data."""
+    """Invalid ruled-surface data, or data whose ladders exceed the budget."""
 
 
 class ScheduleError(ValueError):
     """No valid schedule at this degree; carries the failing constraint."""
 
+
+#: The most ladder steps one call may build: a ladder of t steps is refused
+#: before it reaches t > MAX_LADDER_STEPS, and a degree bound before it
+#: builds its first schedule.  t grows like e^(2 sqrt(s)), so without the
+#: budget a moderate s or a long degree range would run for hours.
+MAX_LADDER_STEPS = 500_000
 
 #: The fields of ruled data JSON, in the order of ``RuledData``.
 _JSON_FIELDS = ("minusK_dot_H", "H_dot_HplusK", "chiO", "ell")
@@ -147,7 +153,8 @@ def minimal_transfer_t(s: int) -> int:
     bounds (the comparison against 2 + 2 sqrt(s) squares both sides, so it
     stays in integers); only if the bounds ever straddle the threshold does
     the code fall back to one exact rational evaluation.  The partial sum is
-    never equal to the threshold, so the decision is always exact.
+    never equal to the threshold, so the decision is always exact.  A t past
+    ``MAX_LADDER_STEPS`` is refused with RuledDataError.
     """
     scale = 1 << 64
     target = 4 * s * scale * scale
@@ -155,6 +162,10 @@ def minimal_transfer_t(s: int) -> int:
     t = 0
     while True:
         t += 1
+        if t > MAX_LADDER_STEPS:
+            raise RuledDataError(
+                f"s = {s} needs a ladder of more than the budget of {MAX_LADDER_STEPS} steps"
+            )
         lo += scale // (t + 1)
         hi = lo + t
         lo_shift = lo - 2 * scale
@@ -313,10 +324,17 @@ def multiplier_degree_bound(data: RuledData, d: int, d0: int) -> DegreeBound:
     divisor, so it contributes that target's H-coefficient.  The base-case
     constant is kept symbolic (zero here).  Two independent accountings (sum
     while building, and a replay over the stored ladders) must agree; both
-    are computed and compared.
+    are computed and compared.  When the levels would build more than
+    ``MAX_LADDER_STEPS`` ladder steps the call is refused up front with
+    RuledDataError.
     """
     if d < d0:
         raise ScheduleError("d must be at least d0")
+    per_level = (1 if data.elliptic_mode else minimal_transfer_t(minimal_transfer_s(data))) + 1
+    if (d - d0) * per_level > MAX_LADDER_STEPS:
+        raise RuledDataError(
+            f"{d - d0} levels of {per_level} steps exceed the budget of {MAX_LADDER_STEPS} ladder steps"
+        )
     dmin = minimal_d(data)
     if d0 < dmin:
         raise ScheduleError(f"d0 below the minimal applicable degree {dmin}")

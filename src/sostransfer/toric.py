@@ -203,6 +203,12 @@ def _is_terminal(q: LatticePolygon) -> Optional[str]:
 # -- chain descent -------------------------------------------------------------
 
 
+#: The most steps a chain may take.  Every step rule strictly descends, so
+#: a longer chain exists whenever the budget runs out: running out is a
+#: resource limit, not inapplicability.
+MAX_CHAIN_STEPS = 10_000
+
+
 def _descend(
     source: LatticePolygon,
     next_step: Callable[[LatticePolygon], Optional[PlanStep]],
@@ -212,13 +218,14 @@ def _descend(
     state, down to a terminal polygon; the total is in context's units.
 
     next_step returns None when no step passes; NoPlanError then carries the
-    chain so far, as it does when the chain reaches 10,000 steps.
+    chain so far.  A chain that needs more than ``MAX_CHAIN_STEPS`` steps is
+    refused with ToricTransferError.
     """
     steps: list[PlanStep] = []
     cur = source
     while (kind := _is_terminal(cur)) is None:
-        if len(steps) >= 10_000:
-            raise NoPlanError("no plan: search did not terminate", steps)
+        if len(steps) >= MAX_CHAIN_STEPS:
+            raise ToricTransferError(f"the chain needs more than the budget of {MAX_CHAIN_STEPS} steps")
         step = next_step(cur)
         if step is None:
             raise NoPlanError("no plan", steps)
@@ -538,7 +545,6 @@ def verdict_to_json_dict(v: TransferVerdict) -> dict:
 
 
 _KIND_TO_JSON = {"lawrence_prism": "lawrence_prism", "twice_unit_triangle": "2delta"}
-_KIND_FROM_JSON = {v: k for k, v in _KIND_TO_JSON.items()}
 
 
 def plan_to_json_dict(plan: TransferPlan) -> dict:
@@ -559,24 +565,3 @@ def plan_to_json_dict(plan: TransferPlan) -> dict:
         "terminal_kind": _KIND_TO_JSON[plan.terminal_kind],
         "total_degree": plan.total_multiplier_degree,
     }
-
-
-def plan_from_json_dict(data: dict) -> TransferPlan:
-    steps = []
-    for s in data["steps"]:
-        margin = s["margin"]
-        verdict = TransferVerdict(s["count2q"], s["h"], s["interior"], margin > 0, margin)
-        steps.append(
-            PlanStep(
-                LatticePolygon.from_json_dict(s["p"]),
-                LatticePolygon.from_json_dict(s["q"]),
-                verdict,
-                note=s.get("note", ""),
-            )
-        )
-    return TransferPlan(
-        tuple(steps),
-        LatticePolygon.from_json_dict(data["terminal"]),
-        _KIND_FROM_JSON[data["terminal_kind"]],
-        data["total_degree"],
-    )

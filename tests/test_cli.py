@@ -35,6 +35,11 @@ class TestToricCheck:
         assert code == 1 and out == ""
         assert "rows" in err
 
+    def test_inline_array_is_read_as_json(self, capsys):
+        code, out, err = invoke(capsys, "toric-check", "--p", "[[0,0],[1,0],[0,1]]", "--q", SQUARE1)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "vertices" in err and "cannot read" not in err
+
     def test_non_integer_vertex(self, capsys):
         code, _, err = invoke(
             capsys, "toric-check", "--p", '{"vertices":[[0,0],[0.5,0]]}', "--q", SQUARE1
@@ -102,6 +107,13 @@ class TestHilbert:
         payload = json.loads(out)
         assert payload["total_degree"] == 12
         assert payload["terminal_kind"] == "2delta"
+
+    def test_chain_past_the_step_budget_exits_one(self, capsys):
+        # the classic chain from 30000Δ has 14,999 passing steps: running out
+        # of steps is a budget, not inapplicability
+        code, out, err = invoke(capsys, "hilbert", "--d", "30000")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
 
 
 class TestDelPezzo:
@@ -186,6 +198,29 @@ class TestRuled:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "object" in err and "Traceback" not in err
 
+    def test_inline_array_is_read_as_json(self, capsys):
+        code, out, err = invoke(capsys, "ruled-schedule", "--data", "[1,2]", "--d", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "object" in err and "cannot read" not in err
+
+    def test_long_ladder_is_refused(self, capsys):
+        # s = 65 needs a ladder of about e^(2 sqrt(65)) steps
+        data = '{"minusK_dot_H":1,"H_dot_HplusK":64,"chiO":1,"ell":0}'
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "ruled-schedule", "--data", data, "--d", "5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
+    def test_long_degree_range_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "ruled-bound", "--elliptic", "--d", "1000000000", "--d0", "5"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
     def test_missing_data(self, capsys):
         code, _, err = invoke(capsys, "ruled-schedule", "--d", "5")
         assert code == 1
@@ -202,11 +237,11 @@ class TestLoggingEnv:
 
 class TestRoundTrip:
     def test_plan_json_reparses(self, capsys):
-        from sostransfer.toric import plan_from_json_dict, improved_ternary_bound
+        from sostransfer.toric import improved_ternary_bound, plan_to_json_dict
 
         code, out, _ = invoke(capsys, "hilbert", "--d", "7", "--improved", "--json")
+        assert code == 0
         payload = json.loads(out)
         payload.pop("budget_degree")
         payload.pop("classic_bound")
-        plan = plan_from_json_dict(payload)
-        assert plan == improved_ternary_bound(7)[0]
+        assert payload == plan_to_json_dict(improved_ternary_bound(7)[0])

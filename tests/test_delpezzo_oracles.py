@@ -23,6 +23,8 @@ from conftest import (
     plain_marked_isometry,
     random_effective_divisor,
 )
+from sostransfer import delpezzo
+from sostransfer._intlinalg import identity, kernel_basis
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
     DelPezzoError,
@@ -87,10 +89,16 @@ class TestPairingOracle:
                 call()
 
 
+def _image_basis(s, con):
+    """The saturated basis of the contracted curves' orthogonal complement."""
+    rows = [[dense_intersect(s, e, c) for e in identity(s.rank)] for c in con.contracted]
+    return kernel_basis(rows, s.rank)
+
+
 def _image_lattice(s, con):
     """The form, canonical class and involution of the contracted lattice in
-    the contraction's basis, recomputed with dense pairings."""
-    basis = con._basis
+    the basis of ``_image_basis``, recomputed with dense pairings."""
+    basis = _image_basis(s, con)
     k = len(basis)
     gram2 = tuple(tuple(dense_intersect(s, basis[i], basis[j]) for j in range(k)) for i in range(k))
     k_shift = list(s.K)
@@ -113,9 +121,38 @@ class TestIsometryOracle:
                 expected = plain_marked_isometry(gram2, k2, tau2, con.target)
                 assert expected is not None
                 assert _find_marked_isometry(gram2, k2, tau2, con.target) == expected
-                assert con._matrix == expected
+                # push sends basis vector j to column j of the isometry
+                for j, b in enumerate(_image_basis(s, con)):
+                    assert con.push(b) == tuple(row[j] for row in expected)
                 searched += 1
         assert searched == 164  # every real curve and disjoint conjugate pair
+
+    def test_one_row_searched_and_push_solves_nothing(self, monkeypatch):
+        searched = []
+
+        def spy(gram2, k2, tau2, target):
+            searched.append(target.name)
+            return _find_marked_isometry(gram2, k2, tau2, target)
+
+        def no_solve(*args):
+            raise AssertionError("push made a solve")
+
+        delpezzo._contract.cache_clear()
+        monkeypatch.setattr(delpezzo, "_find_marked_isometry", spy)
+        cons = []
+        for s in catalogue():
+            reals, pairs = real_negative_curves(s)
+            for spec in reals + pairs:
+                del searched[:]
+                con = contract_along(s, spec)
+                assert searched == [con.target.name]
+                cons.append((s, con))
+        monkeypatch.setattr(delpezzo, "solve_in_column_span", no_solve)
+        for s, con in cons:
+            # -K projects to -K + sum_c c, which pushes to -K of the image
+            d = tuple(x + sum(c[i] for c in con.contracted) for i, x in enumerate(s.minus_K))
+            assert con.push(d) == con.target.minus_K
+        delpezzo._contract.cache_clear()
 
     def test_no_isometry_onto_a_wrong_target(self):
         # P2(2,0) blown down along E2 is P2(1,0), not the quadric Q22 of the

@@ -1,5 +1,6 @@
 import pytest
 
+from sostransfer import ruled
 from sostransfer.ruled import (
     RuledData,
     RuledDataError,
@@ -178,6 +179,18 @@ class TestDegreeBound:
     def test_rejects_inverted_range(self):
         with pytest.raises(ScheduleError):
             multiplier_degree_bound(ELLIPTIC, 5, 6)
+
+    def test_ladder_step_budget(self, monkeypatch):
+        # (d - d0) levels of 2 steps each against the budget
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 100)
+        assert multiplier_degree_bound(ELLIPTIC, 55, 5).steps_counted == 100
+        with pytest.raises(RuledDataError, match="budget"):
+            multiplier_degree_bound(ELLIPTIC, 56, 5)
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 82)
+        assert minimal_transfer_t.__wrapped__(1) == 82
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 81)
+        with pytest.raises(RuledDataError, match="budget"):
+            minimal_transfer_t.__wrapped__(1)
 
     def test_rejects_base_below_minimal(self):
         with pytest.raises(ScheduleError):

@@ -28,7 +28,6 @@ from sostransfer.toric import (
     hilbert_classic_plan,
     improved_ternary_bound,
     iter_convex_subpolygons,
-    plan_from_json_dict,
     plan_to_json_dict,
     plan_transfer,
     transfer_check,
@@ -348,11 +347,22 @@ class TestSubpolygonEnumeration:
 class TestPlanJson:
     def test_round_trip(self):
         plan, _ = improved_ternary_bound(5)
-        data = plan_to_json_dict(plan)
+        data = json.loads(json.dumps(plan_to_json_dict(plan)))
         assert data["terminal_kind"] == "lawrence_prism"
-        back = plan_from_json_dict(data)
-        assert back.steps == plan.steps
-        assert back.total_multiplier_degree == plan.total_multiplier_degree
+        assert data["terminal"] == plan.terminal.to_json_dict()
+        assert data["total_degree"] == plan.total_multiplier_degree
+        assert len(data["steps"]) == len(plan.steps)
+        for st, step in zip(data["steps"], plan.steps):
+            v = step.verdict
+            assert st == {
+                "p": step.p.to_json_dict(),
+                "q": step.q.to_json_dict(),
+                "count2q": v.count_2Q,
+                "h": v.h,
+                "interior": v.interior_PQ,
+                "margin": v.margin,
+                "note": step.note,
+            }
 
     def test_kind_spelling(self):
         plan = hilbert_classic_plan(4)
