@@ -66,7 +66,6 @@ from .delpezzo import (
     is_nef,
     minus_one_curves,
     real_negative_curves,
-    reduce_to_nef,
     surface_from_name,
     transfer_sequence,
 )

@@ -3,25 +3,21 @@
 Reads polygon, surface, and ruled-surface data, dispatches to the library,
 and emits either human-readable tables or JSON.  Exit codes: 0 on success,
 1 on malformed input or on work past a budget (a polygon pair too tall to
-scan, a toric chain or a ruled ladder with too many steps), 2 when a
-criterion or algorithm is inapplicable to the given input (for example
-translate containment or a non-effective divisor) - inapplicability is not
-a negative verdict.
+scan, a toric chain, a del Pezzo walk or a ruled ladder with too many
+steps), 2 when a criterion or algorithm is inapplicable to the given input
+(for example translate containment or a non-effective divisor) -
+inapplicability is not a negative verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from typing import Sequence
 
 from . import delpezzo, ruled, toric
 from .lattice import LatticePolygon, TranslateContainmentError
-
-logger = logging.getLogger("sostransfer")
 
 _INAPPLICABLE = (
     TranslateContainmentError,
@@ -211,8 +207,7 @@ def _cmd_ruled_schedule(args) -> int:
         print(f"mode: {schedule.mode}   s = {schedule.s}   t = {schedule.t} (generic t = {schedule.generic_t})")
         print(f"ladder: {[list(r) for r in schedule.ladder]}")
         print(f"step margins: {list(schedule.step_margins)}  final margin: {schedule.final_margin}")
-        if data.ell_trusted:
-            print("note: ell taken on trust (no negative-class data)")
+        print("note: ell taken on trust (no negative-class data)")
     return 0
 
 
@@ -295,18 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("SOS_TRANSFER_LOG", "off").lower()
-    if level_name == "debug":
-        level = logging.DEBUG
-    elif level_name == "info":
-        level = logging.INFO
-    else:
-        level = logging.CRITICAL + 10
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s %(levelname)s %(message)s")
-    logger.setLevel(level)
-
-
 def _merge_value_flags(argv: Sequence[str]) -> list[str]:
     """Join '--divisor -K'-style pairs so leading minus signs parse as values."""
     out: list[str] = []
@@ -324,13 +307,11 @@ def _merge_value_flags(argv: Sequence[str]) -> list[str]:
 
 def run(argv: Sequence[str]) -> int:
     """Parse and execute one command; returns the process exit code."""
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_value_flags(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    logger.info("running %s", args.verb)
     try:
         return args.func(args)
     except CliInputError as exc:

@@ -455,14 +455,7 @@ def chi(s: SurfaceModel, d: Sequence[int]) -> int:
     return s.chiO + q // 2
 
 
-# -- nef reduction -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReduceResult:
-    residual: Divisor
-    subtracted: tuple[Divisor, ...]
-    effective: bool
+# -- negative curves ------------------------------------------------------------
 
 
 def _vec_sub(a: Sequence[int], b: Sequence[int]) -> Divisor:
@@ -486,47 +479,6 @@ def _negative_curve_witness(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divis
         if _dot(row, d) < 0:
             return witness
     return None
-
-
-def _strip(
-    s: SurfaceModel, d: Divisor, limit: Optional[int] = None
-) -> tuple[list[tuple[Divisor, tuple[Divisor, ...]]], Divisor, Optional[bool]]:
-    """Strip negative curves off a real divisor until it is nef.
-
-    Returns each pass's (divisor, witness), the residual and whether the
-    divisor is effective: False as soon as it pairs negatively with -K or
-    no (-1)-curve can be subtracted (see ``_negative_curve_witness``), None
-    when ``limit`` passes are made before either verdict.
-    """
-    passes: list[tuple[Divisor, tuple[Divisor, ...]]] = []
-    while len(passes) != limit:
-        if _dot(s._minus_K_row, d) < 0:
-            return passes, d, False
-        if is_nef(s, d):
-            return passes, d, True
-        witness = _negative_curve_witness(s, d)
-        if witness is None:
-            return passes, d, False
-        passes.append((d, witness))
-        for w in witness:
-            d = _vec_sub(d, w)
-    return passes, d, None
-
-
-def reduce_to_nef(s: SurfaceModel, d: Sequence[int]) -> ReduceResult:
-    """Strip negative curves off a real divisor until it is nef.
-
-    Each pass subtracts the lexicographically smallest real (-1)-curve (or
-    disjoint conjugate pair) meeting the divisor negatively; sections are
-    preserved at every step.  Returns effective=False as soon as the divisor
-    pairs negatively with the anticanonical class or with a conic bundle,
-    neither of which an effective divisor can do.
-    """
-    cur = tuple(d)
-    if not s.is_real(cur):
-        raise NotConjugationFixedError("not conjugation-fixed")
-    passes, residual, effective = _strip(s, cur)
-    return ReduceResult(residual, tuple(w for _, witness in passes for w in witness), effective)
 
 
 # -- ample step ----------------------------------------------------------------
@@ -790,8 +742,8 @@ def certificate_kind(name: str) -> str:
     return "sos"
 
 
-def _conic_multiple(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divisor, int]]:
-    pairing = _dot(s._minus_K_row, d)
+def _conic_multiple(s: SurfaceModel, d: Divisor, pairing: int) -> Optional[tuple[Divisor, int]]:
+    """The real conic bundle F and c > 0 with d = cF, given pairing = -K.d."""
     if pairing <= 0 or pairing % 2 != 0:
         return None
     c = pairing // 2
@@ -801,52 +753,45 @@ def _conic_multiple(s: SurfaceModel, d: Divisor) -> Optional[tuple[Divisor, int]
     return None
 
 
+#: The most steps one walk may take, its terminal step included.  Every walk
+#: ends (see ``transfer_sequence``), so the budget bounds work, not a loop
+#: that could run forever; past it the walk is refused with DelPezzoError.
+MAX_WALK_STEPS = 10_000
+
+
 def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     """Walk a real effective divisor down to zero or to a conic bundle multiple.
 
-    The walk first strips negative curves until the divisor is nef (see
-    ``_strip``); from then on the divisor stays nef.  A nef divisor stops on
-    zero or a conic-bundle multiple; a nef-not-ample divisor is pulled back
-    from a higher-degree catalogued surface via a real contraction, whose
-    pushforward is nef again; an ample divisor loses the chosen curve or
-    bundle C with a verified Euler-characteristic inequality, and the
-    residual's nefness is part of that record.  The anticanonical pairing
-    strictly decreases at every multiplier step, which bounds the chain
-    length by -K.D.
+    The walk takes one step per divisor and tests, in this order: zero and
+    a conic-bundle multiple are terminal; an ample divisor loses the chosen
+    curve or bundle C with a verified Euler-characteristic inequality, and
+    the residual's nefness is part of that record; a nef-not-ample divisor
+    is pulled back from a higher-degree catalogued surface via a real
+    contraction, whose pushforward is nef again; any other divisor loses
+    the negative curve (or conjugate pair) of ``_negative_curve_witness``,
+    or is not effective when -K.D < 0 or there is no such curve.  So
+    subtractions only open the walk, and the divisor stays nef after them.
+    The anticanonical pairing strictly decreases at every multiplier step
+    and each contraction lowers the Picard rank, which bounds the chain
+    length by -K.D; a walk longer than ``MAX_WALK_STEPS`` is refused.
     """
     cur = tuple(d)
     if len(cur) != s.rank:
         raise DelPezzoError(_RANK_MISMATCH)
     if not s.is_real(cur):
         raise NotConjugationFixedError("not conjugation-fixed")
-    passes, cur, effective = _strip(s, cur, 10_000)
-    if effective is False:
-        raise NotEffectiveError("not effective")
-    results = [div for div, _ in passes[1:]] + [cur]
-    steps = [
-        TransferStep(
-            "subtract_negative_curve",
-            s.name,
-            div,
-            witness=witness,
-            check={"pairing": s.intersect(div, witness[0]), "minus_K_dot": _dot(s._minus_K_row, div)},
-            result=nxt,
-        )
-        for (div, witness), nxt in zip(passes, results)
-    ]
     surf = s
-    terminal_kind: Optional[str] = None
-    for _ in range(10_000 - len(steps)):
+    steps: list[TransferStep] = []
+    for _ in range(MAX_WALK_STEPS):
         if not any(cur):
             steps.append(
                 TransferStep(
                     "terminal", surf.name, cur, check={"terminal_kind": "zero", "minus_K_dot": 0}
                 )
             )
-            terminal_kind = "zero"
             break
         mk_pairing = _dot(surf._minus_K_row, cur)
-        cm = _conic_multiple(surf, cur)
+        cm = _conic_multiple(surf, cur, mk_pairing)
         if cm is not None:
             bundle, mult = cm
             steps.append(
@@ -863,9 +808,20 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
                     },
                 )
             )
-            terminal_kind = "conic_bundle_multiple"
             break
-        if not is_ample(surf, cur):
+        if is_ample(surf, cur):
+            ast = _ample_step(surf, cur)
+            if not ast.check["nef_E"]:
+                raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
+            check = dict(ast.check)
+            check["minus_K_dot"] = mk_pairing
+            steps.append(
+                TransferStep(
+                    "ample_step", surf.name, cur, witness=(ast.C,), check=check, result=ast.E
+                )
+            )
+            cur = ast.E
+        elif is_nef(surf, cur):
             reals, pairs = real_negative_curves(surf)
             zero_reals = [c for c in reals if surf.intersect(cur, c) == 0]
             if zero_reals:
@@ -891,25 +847,33 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
             )
             surf = contraction.target
             cur = nxt
-            continue
-        ast = _ample_step(surf, cur)
-        if not ast.check["nef_E"]:
-            raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
-        check = dict(ast.check)
-        check["minus_K_dot"] = mk_pairing
-        steps.append(
-            TransferStep(
-                "ample_step", surf.name, cur, witness=(ast.C,), check=check, result=ast.E
+        else:
+            witness = _negative_curve_witness(surf, cur) if mk_pairing >= 0 else None
+            if witness is None:
+                raise NotEffectiveError("not effective")
+            nxt = cur
+            for w in witness:
+                nxt = _vec_sub(nxt, w)
+            steps.append(
+                TransferStep(
+                    "subtract_negative_curve",
+                    surf.name,
+                    cur,
+                    witness=witness,
+                    check={"pairing": surf.intersect(cur, witness[0]), "minus_K_dot": mk_pairing},
+                    result=nxt,
+                )
             )
-        )
-        cur = ast.E
+            cur = nxt
     else:
-        raise DelPezzoError("transfer did not terminate")
+        raise DelPezzoError(
+            f"transfer did not terminate within the budget of {MAX_WALK_STEPS} steps"
+        )
     return DelPezzoTransfer(
         surface=s.name,
         start=tuple(d),
         steps=tuple(steps),
-        terminal_kind=terminal_kind,
+        terminal_kind=steps[-1].check["terminal_kind"],
         certificate_kind=certificate_kind(s.name),
     )
 

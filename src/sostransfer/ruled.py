@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 
 class RuledDataError(ValueError):
@@ -43,15 +42,13 @@ class RuledData:
     point), H_dot_HplusK = H.(H+K) = 2g - 2 for the sectional genus g, chiO
     the Euler characteristic of the structure sheaf (1 - genus of the base
     curve), and ell the smallest multiplier making ell*H - K big and nef.
-    ell_trusted marks values supplied by the caller rather than derived from
-    intersection numbers.
+    ell is taken on trust: nothing here checks it against negative curves.
     """
 
     minusK_dot_H: int
     H_dot_HplusK: int
     chiO: int
     ell: int
-    ell_trusted: bool = False
 
     def __post_init__(self) -> None:
         if self.minusK_dot_H < 1:
@@ -87,30 +84,23 @@ class RuledData:
             value = data[name]
             if isinstance(value, bool) or not isinstance(value, int):
                 raise RuledDataError(f"field {name!r} must be an integer, got {value!r}")
-        return cls(*(data[name] for name in _JSON_FIELDS), ell_trusted=True)
+        return cls(*(data[name] for name in _JSON_FIELDS))
 
 
-def nef_threshold(
-    a_squared: int,
-    a_dot_k: int,
-    k_squared: int,
-    negative_classes: Sequence[tuple[int, int]] = (),
-) -> tuple[int, bool]:
-    """Smallest ell >= 0 with (ell*H - K_Z) big and nef on the blow-up.
+def nef_threshold(a_squared: int, a_dot_k: int, k_squared: int) -> int:
+    """Smallest ell >= 0 with (ell*H - K_Z)^2 > 0 on the blow-up.
 
-    The square is ell^2 A^2 - 2 ell A.K + K^2 - 1; positivity of the square
-    plus positivity against the supplied negative classes (given as pairs
-    (H.N, K_Z.N)) realizes the Nakai test.  Without negative-class data the
-    returned flag is False and the value is a square-positivity threshold
-    the caller must trust.
+    The square is ell^2 A^2 - 2 ell A.K + K^2 - 1.  Square positivity is
+    one condition of the Nakai test; positivity on each negative curve of
+    the surface is not checked here, so the value is a threshold the caller
+    must trust.
     """
     if a_squared <= 0:
         raise RuledDataError("A^2 must be positive for an ample class")
     ell = 0
     while True:
-        square = ell * ell * a_squared - 2 * ell * a_dot_k + k_squared - 1
-        if square > 0 and all(ell * hn - kn > 0 for hn, kn in negative_classes):
-            return ell, bool(negative_classes)
+        if ell * ell * a_squared - 2 * ell * a_dot_k + k_squared - 1 > 0:
+            return ell
         ell += 1
         if ell > 4 * (abs(a_dot_k) + abs(k_squared) + 2):
             raise RuledDataError("no nef threshold found; data is inconsistent")
@@ -375,12 +365,11 @@ def genus_example_data(kind: str, g: int = 0, m: int = 0) -> RuledData:
     with m.
     """
     if kind == "elliptic_segre":
-        ell, fully_checked = nef_threshold(6, -6, 0, ())
-        return RuledData(6, 0, 0, ell, ell_trusted=not fully_checked)
+        return RuledData(6, 0, 0, nef_threshold(6, -6, 0))
     if kind == "canonical_times_line":
         if g < 3 or m < 1:
             raise RuledDataError("need genus >= 3 and multiplier m >= 1")
         omega = 2 * g - 2
-        ell, fully_checked = nef_threshold(m * m * 2 * omega, -m * omega, 8 * (1 - g), ())
-        return RuledData(m * omega, (2 * m * m - m) * omega, 1 - g, ell, ell_trusted=not fully_checked)
+        ell = nef_threshold(m * m * 2 * omega, -m * omega, 8 * (1 - g))
+        return RuledData(m * omega, (2 * m * m - m) * omega, 1 - g, ell)
     raise RuledDataError(f"unknown example kind {kind!r}")

@@ -152,6 +152,15 @@ class TestDelPezzo:
         assert code == 2
         assert "not effective" in err
 
+    def test_walk_past_the_step_budget_exits_one(self, capsys):
+        # 20000 H on the plane ends at zero after more than MAX_WALK_STEPS
+        # ample steps: running out of steps is a budget, not inapplicability
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "delpezzo-transfer", "--surface", "P2", "--divisor", "20000")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
 
 class TestRuled:
     def test_elliptic_schedule(self, capsys):
@@ -225,14 +234,6 @@ class TestRuled:
         code, _, err = invoke(capsys, "ruled-schedule", "--d", "5")
         assert code == 1
         assert "data" in err
-
-
-class TestLoggingEnv:
-    def test_log_levels_accepted(self, capsys, monkeypatch):
-        for level in ("off", "info", "debug"):
-            monkeypatch.setenv("SOS_TRANSFER_LOG", level)
-            code, out, _ = invoke(capsys, "delpezzo-catalog", "--json")
-            assert code == 0 and len(json.loads(out)) == 24
 
 
 class TestRoundTrip:

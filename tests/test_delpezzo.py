@@ -7,6 +7,7 @@ from conftest import random_effective_divisor
 from sostransfer._intlinalg import mat_mul
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
+    MAX_WALK_STEPS,
     DelPezzoError,
     NotCataloguedError,
     NotConjugationFixedError,
@@ -24,7 +25,6 @@ from sostransfer.delpezzo import (
     is_nef,
     minus_one_curves,
     real_negative_curves,
-    reduce_to_nef,
     surface_from_name,
     transfer_sequence,
     transfer_to_json_dict,
@@ -181,34 +181,40 @@ class TestChi:
                 assert chi(s, tuple(m * x for x in d)) == expected
 
 
+def _opening_subtractions(s, d):
+    """The witnesses of a walk's opening subtractions and the divisor of its
+    first other step: the negative curves stripped off d and the nef residual."""
+    steps = transfer_sequence(s, d).steps
+    first = next(i for i, st in enumerate(steps) if st.kind != "subtract_negative_curve")
+    return tuple(w for st in steps[:first] for w in st.witness), steps[first].divisor
+
+
 class TestReduceToNef:
+    """The subtractions that open a walk reduce the divisor to a nef one."""
+
     def test_nef_fixpoint(self):
         s = surface_from_name("P2(1,0)")
-        res = reduce_to_nef(s, (1, -1))
-        assert (res.residual, res.subtracted, res.effective) == ((1, -1), (), True)
+        assert _opening_subtractions(s, (1, -1)) == ((), (1, -1))
 
     def test_double_exceptional(self):
         s = surface_from_name("P2(1,0)")
-        res = reduce_to_nef(s, (0, 2))
-        assert res.residual == (0, 0)
-        assert res.subtracted == ((0, 1), (0, 1))
-        assert res.effective
+        assert _opening_subtractions(s, (0, 2)) == (((0, 1), (0, 1)), (0, 0))
 
     def test_negative_exceptional(self):
         s = surface_from_name("P2(1,0)")
-        assert not reduce_to_nef(s, (0, -1)).effective
+        with pytest.raises(NotEffectiveError):
+            transfer_sequence(s, (0, -1))
 
     def test_conjugate_pair_subtraction(self):
         s = surface_from_name("P2(1,2)")
-        res = reduce_to_nef(s, (0, 0, 1, 1))
-        assert res.residual == (0, 0, 0, 0)
-        assert res.effective
-        assert len(res.subtracted) == 2
+        subtracted, residual = _opening_subtractions(s, (0, 0, 1, 1))
+        assert residual == (0, 0, 0, 0)
+        assert len(subtracted) == 2
 
     def test_rejects_non_real(self):
         s = surface_from_name("P2(1,2)")
         with pytest.raises(NotConjugationFixedError):
-            reduce_to_nef(s, (0, 0, 1, 0))
+            transfer_sequence(s, (0, 0, 1, 0))
 
 
 class TestAmpleStep:
@@ -380,11 +386,11 @@ class TestTransferSequence:
 
     def test_step_guard_counts_subtractions(self):
         # k E1 on P2(1,0) takes k subtractions and a terminal step; the walk
-        # stops at 10,000 steps.
+        # stops at MAX_WALK_STEPS steps.
         s = surface_from_name("P2(1,0)")
-        t = transfer_sequence(s, (0, 9_999))
-        assert len(t.steps) == 10_000 and t.terminal_kind == "zero"
-        for k in (10_000, 10**12):
+        t = transfer_sequence(s, (0, MAX_WALK_STEPS - 1))
+        assert len(t.steps) == MAX_WALK_STEPS and t.terminal_kind == "zero"
+        for k in (MAX_WALK_STEPS, 10**12):
             start = time.perf_counter()
             with pytest.raises(DelPezzoError, match="did not terminate"):
                 transfer_sequence(s, (0, k))

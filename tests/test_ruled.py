@@ -66,16 +66,10 @@ class TestData:
 
 class TestNefThreshold:
     def test_elliptic(self):
-        assert nef_threshold(6, -6, 0)[0] == 1
+        assert nef_threshold(6, -6, 0) == 1
 
     def test_canonical_genus_three(self):
-        assert nef_threshold(8, -4, -16)[0] == 2
-
-    def test_negative_classes_push_threshold(self):
-        ell_plain, checked_plain = nef_threshold(6, -6, 0)
-        ell_neg, checked_neg = nef_threshold(6, -6, 0, negative_classes=((1, 3),))
-        assert not checked_plain and checked_neg
-        assert ell_neg >= ell_plain and ell_neg > 3
+        assert nef_threshold(8, -4, -16) == 2
 
 
 class TestMargins:
@@ -98,7 +92,7 @@ class TestMargins:
         assert descent_margin(ELLIPTIC, 12, 0) == 0
 
     def test_descent_negative_for_positive_genus(self):
-        data = RuledData(20, 8, -2, 2, ell_trusted=True)
+        data = RuledData(20, 8, -2, 2)
         assert descent_margin(data, 50, 1) < 0
 
     def test_preconditions(self):
@@ -145,9 +139,7 @@ class TestSchedules:
 
     def test_minimal_d_monotone_under_doubling(self):
         data = genus_example_data("canonical_times_line", 3, 1)
-        doubled = RuledData(
-            2 * data.minusK_dot_H, data.H_dot_HplusK, data.chiO, data.ell, ell_trusted=True
-        )
+        doubled = RuledData(2 * data.minusK_dot_H, data.H_dot_HplusK, data.chiO, data.ell)
         assert minimal_d(doubled) <= minimal_d(data)
 
     def test_minimal_d_self_consistent(self):
