@@ -20,6 +20,7 @@ from .lattice import (
     is_lawrence_prism,
     is_twice_unit_triangle,
     lattice_point_count,
+    minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
     reduced_component_total,

@@ -8,12 +8,21 @@ component count of a set difference ``P \\ Q'`` by one covered-arc rule
 total of that count over all translates, which feeds the toric transfer
 criterion, and the terminal tests (Lawrence prism, twice a unimodular
 triangle) as lattice invariants.  Every comparison is exact.
+
+Counts of a Minkowski sum never need the sum itself: twice the area of
+P + Q is twice the areas of P and Q plus twice their mixed area, its
+boundary count is the sum of theirs, and Pick's theorem turns the two into
+``minkowski_lattice_point_count``.  The transfer criterion counts P + Q and
+P + (-Q) that way.  The candidate polygons (``rectangle``, ``wide_prism``,
+``veronese_triangle``) are built once per process, in bounded caches, and
+a polygon's reflection once per polygon, so the invariants they cache are
+computed once too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -185,7 +194,13 @@ class LatticePolygon:
 
         A half-turn keeps the CCW order, so the negated vertices only rotate
         to start at the new lex-min vertex, the image of the lex-max one.
+        It is built once per polygon, with the invariants it caches, so a
+        candidate Q shared by many transfer checks is reflected once.
         """
+        return self._reflection
+
+    @cached_property
+    def _reflection(self) -> "LatticePolygon":
         v = tuple(-p for p in self.vertices)
         i = v.index(min(v))
         return LatticePolygon._from_canonical(v[i:] + v[:i])
@@ -358,6 +373,23 @@ def minkowski_sum(p: LatticePolygon, q: LatticePolygon) -> LatticePolygon:
     return LatticePolygon._from_canonical(tuple(vertices))
 
 
+def minkowski_lattice_point_count(p: LatticePolygon, q: LatticePolygon) -> int:
+    """#L(P + Q) for full-dimensional P and Q, without building P + Q.
+
+    Twice the area of P + Q is A2(P) + A2(Q) plus twice the mixed area,
+    2 sum_j max_{v in P} (e_j,y v.x - e_j,x v.y) over the edge vectors e_j of
+    Q (the support of P in each edge's outward normal, which the edge's
+    length already scales).  The edges of P + Q are those of P and Q, parallel
+    ones joined, so B(P + Q) = B(P) + B(Q), and Pick's theorem gives
+    #L = (A2 + B)/2 + 1.
+    """
+    if p.dim != 2 or q.dim != 2:
+        raise DegeneratePolygonError("Minkowski counts need full-dimensional polygons")
+    mixed = sum(max((b.y - a.y) * v.x - (b.x - a.x) * v.y for v in p.vertices) for a, b in q.edges)
+    twice_area = p.twice_area + q.twice_area + 2 * mixed
+    return (twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count) // 2 + 1
+
+
 def lattice_point_count(poly: LatticePolygon) -> int:
     return poly.lattice_point_count
 
@@ -508,10 +540,12 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     that meets P but not its boundary lies in the interior), so h is the
     sum of the blocks minus that many translates.
 
-    The last count scans the rows of the box where the translates of Q
-    strictly fit inside P's bounding box, one exact interval of mx per row:
-    Q + m lies inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every
-    inward halfplane n_j.x >= c_j of P.
+    #L(P + (-Q)) comes from areas and boundary counts by Pick's theorem
+    (``minkowski_lattice_point_count``); the zone is never built.  The last
+    count scans the rows of the box where the translates of Q strictly fit
+    inside P's bounding box, one exact interval of mx per row: Q + m lies
+    inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every inward
+    halfplane n_j.x >= c_j of P.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
@@ -530,7 +564,7 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
         covered += g * (max(values) - min(values) + 1)
     box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
     inside = sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
-    return covered - minkowski_sum(p, q.reflect()).lattice_point_count + inside
+    return covered - minkowski_lattice_point_count(p, q.reflect()) + inside
 
 
 def standard_prism(h1: int, h2: int) -> LatticePolygon:
@@ -540,6 +574,13 @@ def standard_prism(h1: int, h2: int) -> LatticePolygon:
     return LatticePolygon([(0, 0), (1, 0), (0, h1), (1, h2)])
 
 
+# The candidate shapes ``wide_prism``, ``rectangle`` and ``veronese_triangle``
+# are built once per process: the planner asks for the same few hundred at
+# every state.  The caches are typed, so a bool argument misses the entry of
+# its int and is still refused.
+
+
+@lru_cache(maxsize=1024, typed=True)
 def wide_prism(h1: int, h2: int) -> LatticePolygon:
     """Prism presented with unit lattice height: rows of lengths h1 and h2."""
     if h1 < 0 or h2 < 0:
@@ -589,10 +630,12 @@ def is_twice_unit_triangle(p: LatticePolygon) -> bool:
     )
 
 
+@lru_cache(maxsize=1024, typed=True)
 def rectangle(a: int, b: int) -> LatticePolygon:
     return LatticePolygon([(0, 0), (a, 0), (a, b), (0, b)])
 
 
+@lru_cache(maxsize=256, typed=True)
 def veronese_triangle(d: int) -> LatticePolygon:
     if d < 0:
         raise LatticeGeometryError("degree must be nonnegative")

@@ -212,17 +212,14 @@ class Schedule:
         }
 
 
-def _isqrt_div(value: int, q: int) -> int:
-    """floor(sqrt(value)/q) for value >= 0, q >= 1, exactly."""
-    return math.isqrt(value // (q * q))
-
-
 def build_schedule(data: RuledData, d: int) -> Schedule:
     """Construct and verify the transfer ladder from dH to (d-1)H.
 
     Generic mode picks each k_j as the largest integer at most
-    sqrt(L)/2j - 1 for L = 2d(-K.H) - chi(O), verifies the companion lower
-    bound sqrt(L)/2(j+1) <= k_j, and evaluates every step margin directly.
+    sqrt(L)/2j - 1 for L = 2d(-K.H) - chi(O), that is isqrt(L) // 2j - 1
+    (floor(sqrt(L)/q) = floor(isqrt(L)/q), so one square root serves the
+    whole ladder), verifies the companion lower bound sqrt(L)/2(j+1) <= k_j,
+    and evaluates every step margin directly.
     Elliptic mode validates the short ladder dH, dH - 2E, (d-1)H.
     """
     s = minimal_transfer_s(data)
@@ -236,11 +233,12 @@ def build_schedule(data: RuledData, d: int) -> Schedule:
     lam = 2 * d * data.minusK_dot_H - data.chiO
     if lam < 0:
         raise ScheduleError("d too small: negative ladder budget")
+    root = math.isqrt(lam)
     ks: list[int] = []
     ms = [0]
     margins: list[int] = []
     for j in range(1, generic_t + 1):
-        kj = _isqrt_div(lam, 2 * j) - 1
+        kj = root // (2 * j) - 1
         if kj < 1:
             raise ScheduleError(f"d too small: empty k-interval at step {j}")
         if 4 * (j + 1) * (j + 1) * kj * kj < lam:

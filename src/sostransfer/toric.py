@@ -18,12 +18,9 @@ from .lattice import (
     LatticePolygon,
     TranslateContainmentError,
     DegeneratePolygonError,
-    dilate,
-    interior_lattice_point_count,
     is_lawrence_prism,
     is_twice_unit_triangle,
-    lattice_point_count,
-    minkowski_sum,
+    minkowski_lattice_point_count,
     rectangle,
     reduced_component_total,
     veronese_triangle,
@@ -110,6 +107,10 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
 
     Requires that no lattice translate of P sits inside Q; when that
     hypothesis fails the criterion is inapplicable (raised, not False).
+    Every count is Pick's theorem on areas and boundary counts: #L(2Q) is
+    2 A2(Q) + B(Q) + 1 for twice the area A2(Q) and the boundary count B(Q),
+    and #int(P + Q) is #L(P + Q) - B(P) - B(Q), with #L(P + Q) from the
+    mixed area; neither 2Q nor P + Q is built.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("the criterion needs full-dimensional polygons")
@@ -119,8 +120,8 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
 @lru_cache(maxsize=4096)
 def _transfer_check_cached(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     h = reduced_component_total(p, q)
-    count_2q = lattice_point_count(dilate(q, 2))
-    interior_pq = interior_lattice_point_count(minkowski_sum(p, q))
+    count_2q = 2 * q.twice_area + q.boundary_lattice_point_count + 1
+    interior_pq = minkowski_lattice_point_count(p, q) - p.boundary_lattice_point_count - q.boundary_lattice_point_count
     margin = count_2q + h - interior_pq
     return TransferVerdict(count_2q, h, interior_pq, margin > 0, margin)
 
@@ -146,10 +147,12 @@ def hilbert_classic_bound(d: int) -> int:
     return d * (d - 2) // 2 if d % 2 == 0 else (d - 1) ** 2 // 2
 
 
+@lru_cache(maxsize=2048, typed=True)
 def trapezoid(d: int, m: int) -> LatticePolygon:
     """The trapezoid cut from the degree-d triangle: x >= 0, 0 <= y <= d-m,
     x + y <= d.  Twice it holds degree-2d forms vanishing to order 2m at a
-    torus-fixed point."""
+    torus-fixed point.  Built once per (d, m) in a bounded, typed cache, as
+    the candidate shapes of ``lattice`` are."""
     if m < 0 or d < 0 or m > d:
         raise ToricTransferError("trapezoid needs 0 <= m <= d")
     return LatticePolygon([(0, 0), (d, 0), (m, d - m), (0, d - m)])
@@ -351,13 +354,15 @@ _FAMILIES = ("squares", "rectangles", "veronese", "trapezoids", "prisms", "exhau
 
 @lru_cache(maxsize=256)
 def _family_candidates(
-    families: tuple[str, ...], context: str, w: int, hgt: int, kmax: int, cur_deg: int
+    families: tuple[str, ...], context: str, w: int, hgt: int, kmax: int
 ) -> tuple[tuple[LatticePolygon, int, bool], ...]:
     """(q, degree, terminal) for each candidate of the families cheaper than
-    cur_deg, ordered by degree then vertex list.  The candidates depend on a
-    state only through its bounding width w and height hgt, its ternary
-    degree kmax and its step degree cur_deg, so they are built once per
-    such key."""
+    the state's own step degree (``step_multiplier_degree``: 2 kmax in
+    ternary context, w + hgt in biform), ordered by degree then vertex list.
+    The candidates depend on a state only through its bounding width w and
+    height hgt and its ternary degree kmax, so they are built once per such
+    key."""
+    cur_deg = 2 * kmax if context == "ternary" else w + hgt
     out: dict[LatticePolygon, tuple[LatticePolygon, int, bool]] = {}
 
     def add(q: LatticePolygon) -> None:
@@ -401,9 +406,7 @@ def _greedy_step(cur: LatticePolygon, families: tuple[str, ...], ctx: str) -> Op
     else any passing candidate; the cheapest, then the largest margin, then
     the smallest canonical vertex list."""
     xmin, ymin, xmax, ymax = cur.bounding_box
-    candidates = _family_candidates(
-        families, ctx, xmax - xmin, ymax - ymin, ternary_degree(cur), step_multiplier_degree(cur, ctx)
-    )
+    candidates = _family_candidates(families, ctx, xmax - xmin, ymax - ymin, ternary_degree(cur))
     for terminal_only in (True, False):
         level: Optional[int] = None
         best: Optional[tuple[tuple[int, tuple], LatticePolygon, TransferVerdict]] = None

@@ -22,6 +22,7 @@ from sostransfer.lattice import (
     dilate,
     minkowski_sum,
 )
+from sostransfer.toric import TransferVerdict
 
 
 def random_polygon(rng: random.Random, max_coord: int = 8, tries: int = 50) -> LatticePolygon:
@@ -285,6 +286,29 @@ def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
         if blocks > 1:
             total += blocks - 1
     return total
+
+
+def built_polygon_verdict(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
+    """The one-step verdict counted on built polygons, the reference for
+    ``toric.transfer_check`` (which builds none): count(2Q) on dilate(Q, 2),
+    #int(P + Q) on minkowski_sum(P, Q), and h by visiting every translate in
+    the zone minkowski_sum(P, -Q) (``brute_force_component_total``)."""
+    h = brute_force_component_total(p, q)
+    count = dilate(q, 2).lattice_point_count
+    interior = minkowski_sum(p, q).interior_lattice_point_count
+    margin = count + h - interior
+    return TransferVerdict(count, h, interior, margin > 0, margin)
+
+
+def plan_corpus(rng: random.Random, random_count: int = 40) -> list[LatticePolygon]:
+    """The shapes of the benchmark's plan workload: kΔ (k = 3..8), squares of
+    side 2..6, four rectangles and random_count random hulls in [0, 8]^2."""
+    from sostransfer.lattice import rectangle, veronese_triangle
+
+    shapes = [veronese_triangle(k) for k in range(3, 9)]
+    shapes += [rectangle(k, k) for k in range(2, 7)]
+    shapes += [rectangle(a, b) for a, b in ((2, 3), (3, 5), (5, 2), (4, 6))]
+    return shapes + [random_polygon(rng, max_coord=8) for _ in range(random_count)]
 
 
 def _normalized_line(a: int, b: int, k: int) -> tuple[int, int, int]:

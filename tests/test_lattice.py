@@ -23,6 +23,7 @@ from sostransfer.lattice import (
     is_lawrence_prism,
     is_twice_unit_triangle,
     lattice_point_count,
+    minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
     reduced_component_total,
@@ -44,6 +45,7 @@ from conftest import (
     fraction_covered_arcs,
     hull_minkowski_sum,
     is_lattice_equivalent,
+    plan_corpus,
     random_polygon,
     random_unimodular,
     total_or_containment,
@@ -492,8 +494,60 @@ class TestDerivedPolygons:
             p, q = draw(), draw()
             assert minkowski_sum(p, q).vertices == hull_minkowski_sum(p, q).vertices, (p, q)
             assert p.reflect().vertices == convex_hull([-v for v in p.vertices]).vertices, p
+            assert p.reflect() is p.reflect()
             k = rng.randint(0, 4)
             assert dilate(p, k).vertices == convex_hull([v.scaled(k) for v in p.vertices]).vertices, (p, k)
+
+
+class TestMinkowskiCounts:
+    """#L(P + Q) and #L(P + (-Q)) from areas and boundary counts, against
+    the count of the built sum."""
+
+    @staticmethod
+    def _agree(p, q):
+        for r in (q, q.reflect()):
+            assert minkowski_lattice_point_count(p, r) == minkowski_sum(p, r).lattice_point_count, (p, r)
+
+    def test_plan_corpus_pairs(self):
+        shapes = plan_corpus(random.Random(77))
+        for p in shapes:
+            for q in shapes:
+                self._agree(p, q)
+
+    def test_far_translated(self):
+        rng = random.Random(7373)
+        for _ in range(300):
+            p, q = (
+                random_polygon(rng, max_coord=rng.choice((3, 9, 1000))).translate(
+                    (rng.randint(-(10**12), 10**12), rng.randint(-(10**12), 10**12))
+                )
+                for _ in range(2)
+            )
+            self._agree(p, q)
+
+    def test_slivers(self):
+        # long thin triangles and their unimodular images, against each other
+        # and against small shapes; the sums have up to about 10^12 rows
+        rng = random.Random(7474)
+        small = [veronese_triangle(2), rectangle(1, 1), FIGURE_PRISM]
+        for n in (1, 2, 7, 10**4, 10**12):
+            slivers = [
+                LatticePolygon([(0, 0), (n, n), (n, n - 1)]),
+                LatticePolygon([(0, 0), (n, 0), (0, 1)]),
+                LatticePolygon([(0, 0), (1, 0), (0, n)]),
+            ]
+            slivers += [s.apply_unimodular(random_unimodular(rng)) for s in slivers]
+            for s in slivers:
+                for q in small + slivers:
+                    self._agree(s, q)
+                    self._agree(q, s)
+
+    def test_degenerate_inputs_are_refused(self):
+        square = rectangle(2, 2)
+        for thin in (LatticePolygon([(1, 1)]), LatticePolygon([(0, 0), (3, 2)])):
+            for p, q in ((thin, square), (square, thin), (thin, thin)):
+                with pytest.raises(DegeneratePolygonError):
+                    minkowski_lattice_point_count(p, q)
 
 
 class TestExactArcOrder:

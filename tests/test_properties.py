@@ -16,6 +16,7 @@ from sostransfer.lattice import (
     difference_components,
     dilate,
     is_lawrence_prism,
+    minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
     reduced_component_total,
@@ -129,6 +130,16 @@ def test_component_total_matches_per_translate_sweep(pair):
     assert total_or_containment(reduced_component_total, p, q) == total_or_containment(
         brute_force_component_total, p, q
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygons_in_box(9), polygons_in_box(9), far_shifts, far_shifts)
+def test_minkowski_count_matches_the_built_sum(p, q, shift_p, shift_q):
+    """#L(P + Q) and #L(P + (-Q)) from the mixed area, against the count of
+    the built sum, near the origin and 10^9 away."""
+    for a, b in ((p, q), (p.translate(shift_p), q.translate(shift_q))):
+        for r in (b, b.reflect()):
+            assert minkowski_lattice_point_count(a, r) == minkowski_sum(a, r).lattice_point_count
 
 
 def test_pick_identity_corpus():

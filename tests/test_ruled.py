@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from sostransfer import ruled
@@ -136,6 +138,21 @@ class TestSchedules:
         m_t = sched.m[-1]
         assert 4 * m_t * m_t <= q * q * lam
         assert q * q * lam < (d - data.ell) ** 2
+
+    def test_ladder_k_matches_a_root_per_step(self):
+        # k_j = isqrt(L) // 2j - 1 from one root per ladder, against the
+        # per-step isqrt(L // (2j)^2) - 1, on the ladders from each minimal
+        # degree up and on huge degrees
+        built = 0
+        for m in (1, 2):
+            data = genus_example_data("canonical_times_line", 3, m)
+            d0 = minimal_d(data)
+            for d in [*range(d0, d0 + 25), 10**15 + 7, 10**30 + 1]:
+                sched = build_schedule(data, d)
+                lam = 2 * d * data.minusK_dot_H - data.chiO
+                assert sched.k == tuple(isqrt(lam // (4 * j * j)) - 1 for j in range(1, sched.t + 1))
+                built += 1
+        assert built == 54
 
     def test_minimal_d_monotone_under_doubling(self):
         data = genus_example_data("canonical_times_line", 3, 1)

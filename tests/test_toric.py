@@ -11,12 +11,10 @@ from sostransfer.lattice import (
     LatticePolygon,
     TranslateContainmentError,
     dilate,
-    interior_lattice_point_count,
     lattice_point_count,
-    minkowski_sum,
     rectangle,
-    reduced_component_total,
     veronese_triangle,
+    wide_prism,
 )
 from sostransfer import toric
 from sostransfer.toric import (
@@ -36,23 +34,20 @@ from sostransfer.toric import (
     veronese_step_counts,
 )
 
-from conftest import brute_force_component_total, lattice_points
+from conftest import (
+    brute_force_component_total,
+    built_polygon_verdict,
+    lattice_points,
+    plan_corpus,
+    total_or_containment,
+)
 
 FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
 
 
-def replay_verdict(p, q):
-    """Recompute a verdict from the raw geometry operations."""
-    h = reduced_component_total(p, q)
-    count = lattice_point_count(dilate(q, 2))
-    interior = interior_lattice_point_count(minkowski_sum(p, q))
-    margin = count + h - interior
-    return TransferVerdict(count, h, interior, margin > 0, margin)
-
-
 def replay_plan(plan):
     for step in plan.steps:
-        assert replay_verdict(step.p, step.q) == step.verdict
+        assert built_polygon_verdict(step.p, step.q) == step.verdict
         assert step.verdict.holds
     plan.validate()
 
@@ -96,6 +91,34 @@ class TestTransferCheck:
             assert time.perf_counter() - start < 1.0
         p = LatticePolygon([(0, 0), (1, 0), (0, 30)])
         assert transfer_check(p, q).h == brute_force_component_total(p, q)
+
+
+class TestTransferCheckOracle:
+    """transfer_check, which counts 2Q, P + Q and P + (-Q) from areas and
+    boundary counts, against the verdict counted on built polygons."""
+
+    def test_every_check_of_the_corpus_plans(self, monkeypatch):
+        # every check the planner makes from the plan workload's shapes,
+        # passing or failing, and so every step of the plans; the steps
+        # reversed add inapplicable pairs, which must be refused alike
+        pairs = set()
+        real_check = toric.transfer_check
+
+        def check(p, q):
+            pairs.add((p, q))
+            return real_check(p, q)
+
+        monkeypatch.setattr(toric, "transfer_check", check)
+        plans = [plan_transfer(source) for source in plan_corpus(random.Random(77))]
+        assert len(plans) == 55 and all(step.verdict.holds for plan in plans for step in plan.steps)
+        steps = {(step.p, step.q) for plan in plans for step in plan.steps}
+        assert steps <= pairs
+        raised = 0
+        for p, q in pairs | {(q, p) for p, q in steps}:
+            got = total_or_containment(real_check, p, q)
+            assert got == total_or_containment(built_polygon_verdict, p, q), (p, q)
+            raised += got == "containment"
+        assert len(pairs) > 2000 and raised > 10
 
 
 class TestClassicPipeline:
@@ -310,6 +333,13 @@ class TestCaches:
         # a translated source meets states of the same sizes
         plan_transfer(veronese_triangle(4).translate((7, -3)), families=families)
         assert candidates.cache_info().misses == built
+
+    def test_candidate_shapes_built_once_and_bools_still_refused(self):
+        # the constructor caches are typed: True is not served the entry of 1
+        for build, args in ((rectangle, (1, 1)), (wide_prism, (1, 1)), (veronese_triangle, (1,)), (trapezoid, (1, 1))):
+            assert build(*args) is build(*args)
+            with pytest.raises(LatticeGeometryError):
+                build(*args[:-1], True)
 
 
 class TestSubpolygonEnumeration:
