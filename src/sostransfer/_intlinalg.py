@@ -9,14 +9,17 @@ solves of a lattice walk never leave the integers.
 
 The one rational elimination is ``_ldl``, which factors the positive-definite
 part of an affine quadric as LᵀDL; ``solve_quadratic_lattice`` solves the
-quadric's centre from those factors and enumerates its lattice points from
-them.  Fractions occur only in that enumeration; nothing uses floats.
+quadric's centre from those factors, and ``enumerate_quadric_points`` scales
+the factors, centre and radius to integers once and enumerates the lattice
+points in integers.  Fractions occur only in the LDL factors and the centre;
+nothing uses floats.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from operator import mul
 from typing import Optional, Sequence
 
@@ -138,43 +141,50 @@ def _ldl_solve(d: list[Fraction], lmat: list[list[Fraction]], b: Sequence[Fracti
 
 
 def enumerate_quadric_points(
-    d: list[Fraction],
-    lmat: list[list[Fraction]],
-    center: list[Fraction],
-    radius: Fraction,
+    d: Sequence[Rational],
+    lmat: Sequence[Sequence[Rational]],
+    center: Sequence[Rational],
+    radius: Rational,
 ) -> list[Vec]:
     """All integer y with (y - center)ᵀ A (y - center) = radius, for
-    positive-definite A given by its ``_ldl`` factors."""
+    positive-definite A given by its ``_ldl`` factors.
+
+    The recursion runs on integers (Fincke-Pohst, levels k-1 down to 0, each
+    level's values ascending).  With M the lcm of the denominators of the
+    centre and of L, and D that of d and the radius, Zⱼ = M·yⱼ - M·centreⱼ
+    and Sᵢ = M·Zᵢ + Σⱼ>ᵢ (M·lᵢⱼ)·Zⱼ = M²·(yᵢ - cᵢ); a level is kept iff
+    (D·dᵢ)·Sᵢ² ≤ REM, where REM starts at D·M⁴·radius and loses each kept
+    level's term, so the range of yᵢ is one isqrt.
+    """
     k = len(d)
     if radius < 0:
         return []
+    m = math.lcm(*(x.denominator for x in center), *(lmat[i][j].denominator for i in range(k) for j in range(i + 1, k)))
+    dd = math.lcm(radius.denominator, *(x.denominator for x in d))
+    m2 = m * m
+    dm = [dd * x.numerator // x.denominator for x in d]
+    mc = [m * x.numerator // x.denominator for x in center]
+    ml = [[(j, m * lmat[i][j].numerator // lmat[i][j].denominator) for j in range(i + 1, k)] for i in range(k)]
     out: list[Vec] = []
-    z = [Fraction(0)] * k  # z_j = y_j - center_j for chosen levels
+    y = [0] * k
+    z = [0] * k  # Z_j = M·y_j - M·center_j for chosen levels
 
-    def recurse(i: int, rem: Fraction) -> None:
+    def recurse(i: int, rem: int) -> None:
         if i < 0:
             if rem == 0:
-                out.append(tuple(int(center[j] + z[j]) for j in range(k)))
+                out.append(tuple(y))
             return
-        inner = sum(lmat[i][j] * z[j] for j in range(i + 1, k))
-        c_i = center[i] - inner
-        # |y_i - c_i| <= sqrt(rem / d_i) < bound + 1 for the exact
-        # bound = floor(sqrt(p / r)) = isqrt(p * r) // r, where rem / d_i = p / r;
-        # so floor(c_i) - bound <= y_i <= ceil(c_i) + bound, filtered below.
-        q = rem / d[i]
-        bound = math.isqrt(q.numerator * q.denominator) // q.denominator
-        lo = math.floor(c_i) - bound
-        hi = math.ceil(c_i) + bound
-        for y_i in range(lo, hi + 1):
-            zi = y_i - center[i]
-            term = d[i] * (zi + inner) ** 2
-            if term > rem:
-                continue
-            z[i] = zi
-            recurse(i - 1, rem - term)
-        z[i] = Fraction(0)
+        # S_i = M²·y_i + t with t = Σⱼ>ᵢ (M·lᵢⱼ)·Zⱼ - M·(M·cᵢ); |S_i| ≤ isqrt(rem // (D·dᵢ))
+        t = sum(mlij * z[j] for j, mlij in ml[i]) - m * mc[i]
+        di = dm[i]
+        b = math.isqrt(rem // di)
+        for yi in range(-((b + t) // m2), (b - t) // m2 + 1):
+            si = m2 * yi + t
+            y[i] = yi
+            z[i] = m * yi - mc[i]
+            recurse(i - 1, rem - di * si * si)
 
-    recurse(k - 1, radius)
+    recurse(k - 1, dd * m2 * m2 * radius.numerator // radius.denominator)
     return out
 
 
@@ -191,21 +201,20 @@ def solve_quadratic_lattice(
     K.K > 0); the solution set is then finite.
     """
     n = len(kvec)
-    gk = tuple(sum(gram[i][j] * kvec[j] for j in range(n)) for i in range(n))
+    gk = mat_vec(gram, kvec)
     x0 = solve_single_row(gk, kdot)
     if x0 is None:
         return []
     bcols = kernel_basis([gk], n)
     k = len(bcols)
-
-    def pair(u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-
-    c0 = pair(x0, x0)
+    gx0 = mat_vec(gram, x0)
+    c0 = sum(map(mul, x0, gx0))
     if k == 0:
         return [tuple(x0)] if c0 == square else []
-    a_pd = [[Fraction(-pair(bcols[i], bcols[j])) for j in range(k)] for i in range(k)]
-    w = [Fraction(pair(bcols[i], x0)) for i in range(k)]
+    # pairings read off the rows G.b, one per basis vector
+    gb = [mat_vec(gram, b) for b in bcols]
+    a_pd = [[Fraction(-sum(map(mul, bcols[i], gb[j]))) for j in range(k)] for i in range(k)]
+    w = [Fraction(sum(map(mul, b, gx0))) for b in bcols]
     # x = x0 + B y ; x.G.x = c0 + 2 w.y - y.A.y = square
     # => y.A.y - 2 w.y + (square - c0) = 0 ; complete the square at h = A^{-1} w
     d, lmat = _ldl(a_pd)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._intlinalg import (
     identity,
@@ -192,6 +192,17 @@ class SurfaceModel:
             nvec = _vec_sub(minus_k, c)
             mvec = nvec
         return c, nvec, mvec, is_nef(self, nvec), is_nef(self, mvec)
+
+    @cached_property
+    def _ample_phase(self) -> tuple[tuple[Divisor, ...], tuple[int, ...], tuple[tuple[Divisor, int], ...]]:
+        """What an ample phase reads besides its divisor: the pairing rows of
+        C, K and M; C.C, K.C, C.M, M.M and K.M; and the cone rows r with
+        r.C > 0, each with r.C."""
+        c, _, mvec, _, _ = self._ample_step_classes
+        row_c, row_k, row_m = (self.pairing_row(x) for x in (c, self.K, mvec))
+        pairings = (_dot(row_c, c), _dot(row_k, c), _dot(row_m, c), _dot(row_m, mvec), _dot(row_k, mvec))
+        meeting = tuple((row, q) for row in self._cone[1] for q in (_dot(row, c),) if q > 0)
+        return (row_c, row_k, row_m), pairings, meeting
 
     @cached_property
     def _conic_bundles_real(self) -> tuple[ConicBundle, ...]:
@@ -431,28 +442,36 @@ def cone_generators(s: SurfaceModel) -> tuple[Divisor, ...]:
     return s._cone[0]
 
 
+def _least_pairing(s: SurfaceModel, d: Divisor) -> int:
+    """The least pairing of d with a cone generator: d is nef iff it is at
+    least 0, and ample iff it is positive and D.D > 0."""
+    # _dot inlined: this runs once per cone generator at every walk dispatch
+    return min([sum(map(mul, row, d)) for row in s._cone[1]])
+
+
 def is_nef(s: SurfaceModel, d: Sequence[int]) -> bool:
     d = tuple(d)
     if len(d) != s.rank:
         raise DelPezzoError(_RANK_MISMATCH)
-    # _dot inlined here and in is_ample: these run once per cone generator
-    # at every step of a walk
-    return all(sum(map(mul, row, d)) >= 0 for row in s._cone[1])
+    return _least_pairing(s, d) >= 0
 
 
 def is_ample(s: SurfaceModel, d: Sequence[int]) -> bool:
     d = tuple(d)
-    if s.intersect(d, d) <= 0:
-        return False
-    return all(sum(map(mul, row, d)) > 0 for row in s._cone[1])
+    return s.intersect(d, d) > 0 and _least_pairing(s, d) > 0
+
+
+def _chi_value(s: SurfaceModel, square: int, kdot: int) -> int:
+    """chi of a class with D.D = square and D.K = kdot."""
+    q = square - kdot
+    if q % 2 != 0:
+        raise DelPezzoError("D.D - D.K must be even on a surface lattice")
+    return s.chiO + q // 2
 
 
 def chi(s: SurfaceModel, d: Sequence[int]) -> int:
     """Euler characteristic 1 + (D.D - D.K)/2; the parity is a lattice fact."""
-    q = s.intersect(d, d) - s.intersect(d, s.K)
-    if q % 2 != 0:
-        raise DelPezzoError("D.D - D.K must be even on a surface lattice")
-    return s.chiO + q // 2
+    return _chi_value(s, s.intersect(d, d), s.intersect(d, s.K))
 
 
 # -- negative curves ------------------------------------------------------------
@@ -510,38 +529,89 @@ def ample_step(s: SurfaceModel, d: Sequence[int]) -> AmpleStep:
         raise NotConjugationFixedError("not conjugation-fixed")
     if not is_ample(s, cur):
         raise DelPezzoError("ample_step requires an ample divisor")
-    return _ample_step(s, cur)
+    record = next(_ample_records(s, cur, 1, _phase_limits(s, cur)[1]))
+    return AmpleStep(record["C"], record["E"], record)
 
 
-def _ample_step(s: SurfaceModel, cur: Divisor) -> AmpleStep:
-    """``ample_step`` on a divisor already known to be real and ample."""
+def _first_nonpositive(a: int, b: int, c: int) -> Optional[int]:
+    """The least j >= 0 with a - 2bj + cj² <= 0, for a > 0; None if none."""
+    if c == 0:
+        return -(-a // (2 * b)) if b > 0 else None
+    disc = b * b - a * c  # (cj - b)² = c·(cj² - 2bj + a) + disc
+    if disc < 0:
+        return None
+    r = isqrt(disc)
+    if c < 0:
+        # the square is at most 0 once -cj + b reaches sqrt(disc)
+        r += r * r < disc
+        return -((b - r) // -c)
+    # ... and for c > 0 while |cj - b| <= sqrt(disc)
+    j = max(0, -((r - b) // c))
+    return j if c * j <= b + r else None
+
+
+def _phase_limits(s: SurfaceModel, d: Divisor) -> tuple[int, int]:
+    """For an ample d with C its step class: the least j with d - jC not
+    ample, and the largest j with d - jC nef, both capped at MAX_WALK_STEPS.
+
+    With p = r.d and q = r.C for a cone row r, d - jC pairs to p - jq with
+    r, so only rows with q > 0 bound j: d - jC is ample while its square is
+    positive and j < ceil(p/q), and nef while j <= floor(p/q).
+    """
+    ample_end = nef_end = MAX_WALK_STEPS
+    for row, q in s._ample_phase[2]:
+        p = sum(map(mul, row, d))
+        ample_end = min(ample_end, -(-p // q))
+        nef_end = min(nef_end, p // q)
+    (row_c, _, _), (cc, *_), _ = s._ample_phase
+    square_end = _first_nonpositive(s.intersect(d, d), _dot(row_c, d), cc)
+    if square_end is not None:
+        ample_end = min(ample_end, square_end)
+    return ample_end, nef_end
+
+
+def _ample_records(s: SurfaceModel, d: Divisor, steps: int, nef_end: int) -> Iterator[dict]:
+    """The records of the ample steps off d - jC for j < steps, for an ample
+    d whose phase is at least that long and with nef_end from ``_phase_limits``.
+
+    Along a phase every pairing is linear and every square quadratic in j,
+    so each record costs O(1) pairings beyond building its vectors.
+    """
     c, nvec, mvec, nef_n, nef_m = s._ample_step_classes
-    evec = _vec_sub(cur, c)
-    two_e = _scaled(evec, 2)
-    chi_2e = chi(s, two_e)
-    minus_de = tuple(-x - y for x, y in zip(cur, evec))
-    chi_minus_de = chi(s, minus_de)
-    chi_2e_minus_m = chi(s, _vec_sub(two_e, mvec))
-    record = {
-        "surface": s.name,
-        "D": cur,
-        "C": c,
-        "E": evec,
-        "N": nvec,
-        "M": mvec,
-        "nef_E": is_nef(s, evec),
-        "nef_N": nef_n,
-        "nef_M": nef_m,
-        "two_E_dot_M": s.intersect(two_e, mvec),
-        "chi_2E": chi_2e,
-        "chi_minus_D_minus_E": chi_minus_de,
-        "chi_2E_minus_M": chi_2e_minus_m,
-        "h1_E_minus_D": 0,
-        "holds": chi_criterion_holds(chi_2e, 0, chi_minus_de),
-    }
-    if not record["holds"]:
-        raise DelPezzoError(f"{s.name}: ample step inequality failed for {cur}")
-    return AmpleStep(c, evec, record)
+    (row_c, row_k, row_m), (cc, kc, cm, mm, km), _ = s._ample_phase
+    dd, dc, dk, dm = s.intersect(d, d), _dot(row_c, d), _dot(row_k, d), _dot(row_m, d)
+    cur = d
+    for j in range(steps):
+        evec = _vec_sub(cur, c)
+        i = j + 1  # E = d - iC
+        ee = dd - 2 * i * dc + i * i * cc
+        ek = dk - i * kc
+        em = dm - i * cm
+        h = 2 * j + 1  # D + E = 2d - hC
+        chi_2e = _chi_value(s, 4 * ee, 2 * ek)
+        chi_minus_de = _chi_value(s, 4 * dd - 4 * h * dc + h * h * cc, h * kc - 2 * dk)
+        chi_2e_minus_m = _chi_value(s, 4 * ee - 4 * em + mm, 2 * ek - km)
+        record = {
+            "surface": s.name,
+            "D": cur,
+            "C": c,
+            "E": evec,
+            "N": nvec,
+            "M": mvec,
+            "nef_E": i <= nef_end,
+            "nef_N": nef_n,
+            "nef_M": nef_m,
+            "two_E_dot_M": 2 * em,
+            "chi_2E": chi_2e,
+            "chi_minus_D_minus_E": chi_minus_de,
+            "chi_2E_minus_M": chi_2e_minus_m,
+            "h1_E_minus_D": 0,
+            "holds": chi_criterion_holds(chi_2e, 0, chi_minus_de),
+        }
+        if not record["holds"]:
+            raise DelPezzoError(f"{s.name}: ample step inequality failed for {cur}")
+        yield record
+        cur = evec
 
 
 # -- contraction ---------------------------------------------------------------
@@ -575,8 +645,12 @@ def _find_marked_isometry(
     first, each candidate list in sorted order.  Choosing an image v for
     basis vector i filters every later candidate list down to the classes w
     with v.w = gram_s[i][j] (forward checking), and a choice that empties a
-    list is dropped at once.  The pruned branches hold no isometry, so the
-    search returns the same first isometry as plain backtracking.
+    list is dropped at once.  The conditions M K_s = K_dst and, column by
+    column, M tau_s = tau_dst M are each tested at the first depth where
+    every image they read has been chosen (early pruning in the manner of
+    Plesken and Souvignier), not at the leaves.  Every pruned branch holds
+    no isometry, so the search returns the same first isometry as plain
+    backtracking.
     """
     n = len(k_s)
     if n != dst.rank:
@@ -589,43 +663,44 @@ def _find_marked_isometry(
             return None
         cands.append([(v, dst.pairing_row(v)) for v in classes])
     order = sorted(range(n), key=lambda i: len(cands[i]))
+    depth = {i: pos for pos, i in enumerate(order)}
     images: list[Divisor] = [()] * n  # images[i] is column i of the matrix
+    # checks[pos]: the (terms, column or None) tests whose images are all
+    # chosen once order[pos] is; None stands for the canonical class
+    checks: list[list] = [[] for _ in range(n)]
     k_terms = [(i, x) for i, x in enumerate(k_s) if x]
-    tau_cols = [[(i, tau_s[i][j]) for i in range(n) if tau_s[i][j]] for j in range(n)]
+    checks[max(depth[i] for i, _ in k_terms)].append((k_terms, None))
+    for j in range(n):
+        terms = [(i, tau_s[i][j]) for i in range(n) if tau_s[i][j]]
+        checks[max([depth[j]] + [depth[i] for i, _ in terms])].append((terms, j))
 
-    def combination(terms: list[tuple[int, int]]) -> Divisor:
+    def holds(terms: list[tuple[int, int]], col: Optional[int]) -> bool:
         out = [0] * n
         for i, x in terms:
             for t, y in enumerate(images[i]):
                 out[t] += x * y
-        return tuple(out)
-
-    def leaf() -> Optional[tuple[tuple[int, ...], ...]]:
-        # M K_s = K_dst, and M tau_s = tau_dst M column by column
-        if combination(k_terms) != dst.K:
-            return None
-        for j, terms in enumerate(tau_cols):
-            if combination(terms) != dst.tau_image(images[j]):
-                return None
-        return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
+        return tuple(out) == (dst.K if col is None else dst.tau_image(images[col]))
 
     def search(pos: int, domains: list) -> Optional[tuple[tuple[int, ...], ...]]:
         # domains[t] holds the candidates of order[pos + t] that pair right
         # with every image chosen so far
         if pos == n:
-            return leaf()
+            return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
         i = order[pos]
         later = order[pos + 1 :]
+        ready = checks[pos]
         for v, row in domains[0]:
+            images[i] = v
+            if not all(holds(terms, col) for terms, col in ready):
+                continue
             rest = []
             for j, dom in zip(later, domains[1:]):
                 need = gram_s[i][j]
-                dom = [(w, wrow) for w, wrow in dom if _dot(row, w) == need]
+                dom = [(w, wrow) for w, wrow in dom if sum(map(mul, row, w)) == need]
                 if not dom:
                     break
                 rest.append(dom)
             else:
-                images[i] = v
                 m = search(pos + 1, rest)
                 if m is not None:
                     return m
@@ -758,6 +833,8 @@ def _conic_multiple(s: SurfaceModel, d: Divisor, pairing: int) -> Optional[tuple
 #: that could run forever; past it the walk is refused with DelPezzoError.
 MAX_WALK_STEPS = 10_000
 
+_OVER_BUDGET = f"transfer did not terminate within the budget of {MAX_WALK_STEPS} steps"
+
 
 def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     """Walk a real effective divisor down to zero or to a conic bundle multiple.
@@ -773,7 +850,14 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
     subtractions only open the walk, and the divisor stays nef after them.
     The anticanonical pairing strictly decreases at every multiplier step
     and each contraction lowers the Picard rank, which bounds the chain
-    length by -K.D; a walk longer than ``MAX_WALK_STEPS`` is refused.
+    length by -K.D.
+
+    Each dispatch reads D.D and the least cone pairing once.  An ample
+    divisor starts a phase: its ample steps all subtract the same C, so the
+    phase's length comes from ``_phase_limits`` in closed form and its
+    records from ``_ample_records`` at O(1) pairings each.  A walk longer
+    than ``MAX_WALK_STEPS`` steps is refused, and a phase that would reach
+    the budget is refused before any of its records is built.
     """
     cur = tuple(d)
     if len(cur) != s.rank:
@@ -782,7 +866,9 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
         raise NotConjugationFixedError("not conjugation-fixed")
     surf = s
     steps: list[TransferStep] = []
-    for _ in range(MAX_WALK_STEPS):
+    while True:
+        if len(steps) >= MAX_WALK_STEPS:
+            raise DelPezzoError(_OVER_BUDGET)
         if not any(cur):
             steps.append(
                 TransferStep(
@@ -791,7 +877,9 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
             )
             break
         mk_pairing = _dot(surf._minus_K_row, cur)
-        cm = _conic_multiple(surf, cur, mk_pairing)
+        square = surf.intersect(cur, cur)
+        # any multiple of a conic class has square 0
+        cm = _conic_multiple(surf, cur, mk_pairing) if square == 0 else None
         if cm is not None:
             bundle, mult = cm
             steps.append(
@@ -809,19 +897,19 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
                 )
             )
             break
-        if is_ample(surf, cur):
-            ast = _ample_step(surf, cur)
-            if not ast.check["nef_E"]:
-                raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
-            check = dict(ast.check)
-            check["minus_K_dot"] = mk_pairing
-            steps.append(
-                TransferStep(
-                    "ample_step", surf.name, cur, witness=(ast.C,), check=check, result=ast.E
-                )
-            )
-            cur = ast.E
-        elif is_nef(surf, cur):
+        least = _least_pairing(surf, cur)
+        if square > 0 and least > 0:
+            length, nef_end = _phase_limits(surf, cur)
+            if len(steps) + length >= MAX_WALK_STEPS:
+                raise DelPezzoError(_OVER_BUDGET)
+            kc = surf._ample_phase[1][1]  # K.C: -K.D changes by it per step
+            for j, record in enumerate(_ample_records(surf, cur, length, nef_end)):
+                if not record["nef_E"]:
+                    raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
+                record["minus_K_dot"] = mk_pairing + j * kc
+                steps.append(TransferStep("ample_step", surf.name, record["D"], (record["C"],), record, record["E"]))
+            cur = steps[-1].result
+        elif least >= 0:
             reals, pairs = real_negative_curves(surf)
             zero_reals = [c for c in reals if surf.intersect(cur, c) == 0]
             if zero_reals:
@@ -865,10 +953,6 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
                 )
             )
             cur = nxt
-    else:
-        raise DelPezzoError(
-            f"transfer did not terminate within the budget of {MAX_WALK_STEPS} steps"
-        )
     return DelPezzoTransfer(
         surface=s.name,
         start=tuple(d),

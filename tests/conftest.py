@@ -5,14 +5,32 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, isqrt
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import pytest
 
+from sostransfer import delpezzo
 from sostransfer._intlinalg import mat_mul, mat_vec, solve_quadratic_lattice
-from sostransfer.delpezzo import conic_bundle_classes, minus_one_curves
+from sostransfer.delpezzo import (
+    MAX_WALK_STEPS,
+    AmpleStep,
+    DelPezzoError,
+    DelPezzoTransfer,
+    NotConjugationFixedError,
+    NotEffectiveError,
+    TransferStep,
+    certificate_kind,
+    chi,
+    conic_bundle_classes,
+    contract_along,
+    interval_kind,
+    is_ample,
+    is_nef,
+    minus_one_curves,
+    real_negative_curves,
+)
 from sostransfer.lattice import (
     DegeneratePolygonError,
     LatticePoint,
@@ -22,6 +40,7 @@ from sostransfer.lattice import (
     dilate,
     minkowski_sum,
 )
+from sostransfer.numerics import chi_criterion_holds
 from sostransfer.toric import TransferVerdict
 
 
@@ -624,8 +643,10 @@ def plain_marked_isometry(gram_s, k_s, tau_s, dst):
 
     Same variable order (fewest candidates first) and candidate order
     (sorted) as the library's search, but every pairing against the images
-    chosen so far is a dense double sum, and nothing is pruned before it is
-    reached.  Returns the matrix sending source coordinates to dst, or None.
+    chosen so far is a product with the candidate's dense row G.v, and
+    nothing is pruned before it is reached: the canonical class and the
+    involution are tested only at the leaves.  Returns the matrix sending
+    source coordinates to dst, or None.
     """
     n = len(k_s)
     if n != len(dst.K):
@@ -634,6 +655,7 @@ def plain_marked_isometry(gram_s, k_s, tau_s, dst):
     cands = [_lattice_classes(dst.gram, dst.K, gram_s[i][i], gk[i]) for i in range(n)]
     if not all(cands):
         return None
+    cands = [[(v, mat_vec(dst.gram, v)) for v in vs] for vs in cands]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     images = {}
 
@@ -644,8 +666,8 @@ def plain_marked_isometry(gram_s, k_s, tau_s, dst):
                 return None
             return m
         i = order[pos]
-        for v in cands[i]:
-            if all(dense_intersect(dst, v, w) == gram_s[i][j] for j, w in images.items()):
+        for v, row in cands[i]:
+            if all(sum(map(mul, row, w)) == gram_s[i][j] for j, w in images.items()):
                 images[i] = v
                 res = backtrack(pos + 1)
                 if res is not None:
@@ -673,6 +695,161 @@ def random_effective_divisor(s, rng, max_coeff: int = 2) -> tuple[int, ...]:
         if any(total):
             return total
     return tuple(2 * x for x in s.minus_K)
+
+
+def reference_ample_step(s, cur) -> AmpleStep:
+    """One ample step built from vectors: E = D - C, and every chi and
+    pairing of the record evaluated on its class."""
+    c, nvec, mvec, nef_n, nef_m = s._ample_step_classes
+    evec = tuple(x - y for x, y in zip(cur, c))
+    two_e = tuple(2 * x for x in evec)
+    chi_2e = chi(s, two_e)
+    chi_minus_de = chi(s, tuple(-x - y for x, y in zip(cur, evec)))
+    record = {
+        "surface": s.name,
+        "D": cur,
+        "C": c,
+        "E": evec,
+        "N": nvec,
+        "M": mvec,
+        "nef_E": is_nef(s, evec),
+        "nef_N": nef_n,
+        "nef_M": nef_m,
+        "two_E_dot_M": s.intersect(two_e, mvec),
+        "chi_2E": chi_2e,
+        "chi_minus_D_minus_E": chi_minus_de,
+        "chi_2E_minus_M": chi(s, tuple(x - y for x, y in zip(two_e, mvec))),
+        "h1_E_minus_D": 0,
+        "holds": chi_criterion_holds(chi_2e, 0, chi_minus_de),
+    }
+    if not record["holds"]:
+        raise DelPezzoError(f"{s.name}: ample step inequality failed for {cur}")
+    return AmpleStep(c, evec, record)
+
+
+def reference_transfer_sequence(s, d) -> DelPezzoTransfer:
+    """The transfer walk one step per loop turn: a conic-multiple test on
+    every divisor, then ``is_ample``, ``is_nef`` and a vector-built ample step,
+    each scanning the cone afresh."""
+    cur = tuple(d)
+    if len(cur) != len(s.K):
+        raise DelPezzoError("divisor length does not match the Picard rank")
+    if not s.is_real(cur):
+        raise NotConjugationFixedError("not conjugation-fixed")
+    surf = s
+    steps = []
+    for _ in range(MAX_WALK_STEPS):
+        if not any(cur):
+            steps.append(TransferStep("terminal", surf.name, cur, check={"terminal_kind": "zero", "minus_K_dot": 0}))
+            break
+        mk_pairing = surf.intersect(surf.minus_K, cur)
+        cm = delpezzo._conic_multiple(surf, cur, mk_pairing)
+        if cm is not None:
+            bundle, mult = cm
+            check = {
+                "terminal_kind": "conic_bundle_multiple",
+                "multiple": mult,
+                "interval_kind": interval_kind(surf.name),
+                "minus_K_dot": mk_pairing,
+            }
+            steps.append(TransferStep("terminal", surf.name, cur, witness=(bundle,), check=check))
+            break
+        if is_ample(surf, cur):
+            ast = reference_ample_step(surf, cur)
+            if not ast.check["nef_E"]:
+                raise DelPezzoError(f"{surf.name}: ample step left a divisor that is not nef")
+            check = dict(ast.check)
+            check["minus_K_dot"] = mk_pairing
+            steps.append(TransferStep("ample_step", surf.name, cur, witness=(ast.C,), check=check, result=ast.E))
+            cur = ast.E
+        elif is_nef(surf, cur):
+            reals, pairs = real_negative_curves(surf)
+            zero_reals = [c for c in reals if surf.intersect(cur, c) == 0]
+            if zero_reals:
+                spec = (min(zero_reals),)
+            else:
+                zero_pairs = [p for p in pairs if surf.intersect(cur, p[0]) == 0]
+                if not zero_pairs:
+                    raise DelPezzoError(f"{surf.name}: nef-not-ample divisor with no contractible curve")
+                spec = min(zero_pairs)
+            contraction = contract_along(surf, spec)
+            nxt = contraction.push(cur)
+            check = {"target": contraction.target.name, "minus_K_dot": mk_pairing}
+            steps.append(TransferStep("contract", surf.name, cur, witness=tuple(spec), check=check, result=nxt))
+            surf = contraction.target
+            cur = nxt
+        else:
+            witness = delpezzo._negative_curve_witness(surf, cur) if mk_pairing >= 0 else None
+            if witness is None:
+                raise NotEffectiveError("not effective")
+            nxt = cur
+            for w in witness:
+                nxt = tuple(x - y for x, y in zip(nxt, w))
+            check = {"pairing": surf.intersect(cur, witness[0]), "minus_K_dot": mk_pairing}
+            steps.append(TransferStep("subtract_negative_curve", surf.name, cur, witness=witness, check=check, result=nxt))
+            cur = nxt
+    else:
+        raise DelPezzoError(f"transfer did not terminate within the budget of {MAX_WALK_STEPS} steps")
+    return DelPezzoTransfer(
+        surface=s.name,
+        start=tuple(d),
+        steps=tuple(steps),
+        terminal_kind=steps[-1].check["terminal_kind"],
+        certificate_kind=certificate_kind(s.name),
+    )
+
+
+def random_unimodular_pair(rng: random.Random, n: int, moves: int = 4):
+    """A random n x n integer matrix U with determinant ±1 and its inverse:
+    a product of ``moves`` elementary moves (adding ± one row to another, or
+    negating a row), the inverse built from the inverse moves."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(moves):
+        i = rng.randrange(n)
+        if n > 1 and rng.random() < 0.75:
+            j = rng.choice([t for t in range(n) if t != i])
+            sign = rng.choice((1, -1))
+            u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+            for row in inv:
+                row[j] -= sign * row[i]
+        else:
+            u[i] = [-a for a in u[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return tuple(map(tuple, u)), tuple(map(tuple, inv))
+
+
+def fraction_enumerate_quadric_points(d, lmat, center, radius):
+    """All integer y with (y - center)ᵀ A (y - center) = radius, for A given
+    by its ``_ldl`` factors, by the Fraction recursion the integer one
+    replaced: levels k-1 down to 0, each level's values ascending."""
+    k = len(d)
+    if radius < 0:
+        return []
+    out = []
+    z = [Fraction(0)] * k  # z_j = y_j - center_j for chosen levels
+
+    def recurse(i, rem):
+        if i < 0:
+            if rem == 0:
+                out.append(tuple(int(center[j] + z[j]) for j in range(k)))
+            return
+        inner = sum(lmat[i][j] * z[j] for j in range(i + 1, k))
+        c_i = center[i] - inner
+        q = rem / d[i]
+        bound = isqrt(q.numerator * q.denominator) // q.denominator
+        for y_i in range(floor(c_i) - bound, ceil(c_i) + bound + 1):
+            zi = y_i - center[i]
+            term = d[i] * (zi + inner) ** 2
+            if term > rem:
+                continue
+            z[i] = zi
+            recurse(i - 1, rem - term)
+        z[i] = Fraction(0)
+
+    recurse(k - 1, Fraction(radius))
+    return out
 
 
 # -- linear algebra oracles --------------------------------------------------------

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from conftest import random_effective_divisor
+from sostransfer import delpezzo
 from sostransfer._intlinalg import mat_mul
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
@@ -13,6 +14,7 @@ from sostransfer.delpezzo import (
     NotConjugationFixedError,
     NotContractibleError,
     NotEffectiveError,
+    _first_nonpositive,
     ample_step,
     catalogue,
     certificate_kind,
@@ -395,6 +397,39 @@ class TestTransferSequence:
             with pytest.raises(DelPezzoError, match="did not terminate"):
                 transfer_sequence(s, (0, k))
             assert time.perf_counter() - start < 2.0
+
+    def test_step_guard_through_a_phase(self, monkeypatch):
+        # 9999 H on the plane is one ample phase of 9999 steps ending at
+        # zero; one more step is over the budget, and a phase that reaches
+        # the budget is refused before any of its records is built.
+        s = surface_from_name("P2")
+        t = transfer_sequence(s, (MAX_WALK_STEPS - 1,))
+        assert len(t.steps) == MAX_WALK_STEPS and t.terminal_kind == "zero"
+        assert [st.check["minus_K_dot"] for st in t.steps[:2]] == [3 * (MAX_WALK_STEPS - 1), 3 * (MAX_WALK_STEPS - 2)]
+        built = []
+        records = delpezzo._ample_records
+
+        def spy(*args):
+            built.append(args)
+            return records(*args)
+
+        monkeypatch.setattr(delpezzo, "_ample_records", spy)
+        for k in (MAX_WALK_STEPS, 10**12):
+            with pytest.raises(DelPezzoError, match="did not terminate"):
+                transfer_sequence(s, (k,))
+        assert built == []
+        transfer_sequence(s, (3,))
+        assert len(built) == 1
+
+
+def test_first_nonpositive_matches_a_scan():
+    # the least j >= 0 where a - 2bj + cj² <= 0, for a > 0, against a scan
+    # past every root (each root is below 2|b| + a + 2)
+    for a in range(1, 13):
+        for b in range(-6, 7):
+            for c in range(-3, 4):
+                scan = next((j for j in range(3 * a + 3 * abs(b) + 3) if a - 2 * b * j + c * j * j <= 0), None)
+                assert _first_nonpositive(a, b, c) == scan, (a, b, c)
 
 
 class TestJson:

@@ -1,10 +1,12 @@
 """The del Pezzo fast paths against brute-force oracles, and a golden corpus.
 
 Pairings, nefness, ampleness and the involution are compared with dense
-double sums on every catalogued surface; the forward-checked isometry search
-is compared with plain backtracking on every contraction of the catalogue;
-and the JSON of a fixed corpus of transfer sequences is pinned by its sha1,
-so that a speed-up which changes any answer fails here.
+double sums on every catalogued surface; the pruned isometry search is
+compared with plain backtracking on every contraction of the catalogue, in
+the contraction's own basis and in random re-bases of it; the walk's ample
+phases are compared with the one-step-per-turn reference walk on three
+corpora; and the JSON of a fixed corpus of transfer sequences is pinned by
+its sha1, so that a speed-up which changes any answer fails here.
 """
 
 import hashlib
@@ -22,9 +24,11 @@ from conftest import (
     fraction_solve_in_column_span,
     plain_marked_isometry,
     random_effective_divisor,
+    random_unimodular_pair,
+    reference_transfer_sequence,
 )
 from sostransfer import delpezzo
-from sostransfer._intlinalg import identity, kernel_basis
+from sostransfer._intlinalg import identity, kernel_basis, mat_mul, mat_vec
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
     DelPezzoError,
@@ -34,6 +38,7 @@ from sostransfer.delpezzo import (
     contract_along,
     is_ample,
     is_nef,
+    minus_one_curves,
     real_negative_curves,
     surface_from_name,
     transfer_sequence,
@@ -154,6 +159,41 @@ class TestIsometryOracle:
             assert con.push(d) == con.target.minus_K
         delpezzo._contract.cache_clear()
 
+    def test_random_rebases_of_every_contraction(self):
+        # New basis b'_j = sum_i U[i][j] b_i, so old coordinates are U times
+        # new ones: the form becomes UᵀGU, K becomes U⁻¹K, tau U⁻¹ tau U.
+        # Plain backtracking takes up to seconds on some re-bases of the
+        # rank-6 images (the degree-3 sources), so those get 5 re-bases whose
+        # result is checked densely to be a marked isometry, not compared.
+        rng = random.Random(1997)
+        rows = {name: (degree, len(surface_from_name(name).K)) for name, degree, *_ in CATALOGUE_TABLE}
+        compared = verified = wrong_rows = 0
+        for s in catalogue():
+            reals, pairs = real_negative_curves(s)
+            for spec in reals + pairs:
+                con = contract_along(s, spec)
+                dst = con.target
+                gram2, k2, tau2 = _image_lattice(s, con)
+                wrong = [surface_from_name(n) for n, row in rows.items() if row == rows[dst.name] and n != dst.name]
+                for rebase in range(20 if dst.rank <= 5 else 5):
+                    u, inv = random_unimodular_pair(rng, len(k2))
+                    gram = mat_mul(mat_mul(tuple(zip(*u)), gram2), u)
+                    k = mat_vec(inv, k2)
+                    tau = mat_mul(mat_mul(inv, tau2), u)
+                    m = _find_marked_isometry(gram, k, tau, dst)
+                    if dst.rank <= 5:
+                        assert m == plain_marked_isometry(gram, k, tau, dst)
+                        compared += 1
+                    cols = [tuple(row[j] for row in m) for j in range(len(k))]
+                    assert [[dense_intersect(dst, a, b) for b in cols] for a in cols] == [list(r) for r in gram]
+                    assert mat_vec(m, k) == dst.K and mat_mul(m, tau) == mat_mul(dst.tau, m)
+                    verified += 1
+                    if rebase == 0:
+                        for other in wrong:
+                            assert _find_marked_isometry(gram, k, tau, other) is None
+                            wrong_rows += 1
+        assert compared == 20 * 109 and verified == compared + 5 * 55 and wrong_rows == 512
+
     def test_no_isometry_onto_a_wrong_target(self):
         # P2(2,0) blown down along E2 is P2(1,0), not the quadric Q22 of the
         # same degree: both searches must fail there
@@ -170,21 +210,71 @@ class TestIsometryOracle:
 GOLDEN_SHA1 = "1642d8ec89bc76d7dd3f37bfac5cfb592205675f"
 
 
-def golden_corpus_json() -> str:
-    """Transfer JSON of a fixed C07-style corpus: 25 random effective
+def golden_corpus() -> list:
+    """A fixed C07-style corpus of (surface, divisor): 25 random effective
     divisors on each of four surfaces, then 1, 2, 3 times -K everywhere."""
     rng = random.Random(20260810)
     out = []
     for name in ("P2(6,0)", "P2(2,4)", "Q31(0,2)", "D(1,0)"):
         s = surface_from_name(name)
-        for _ in range(25):
-            out.append(transfer_to_json_dict(transfer_sequence(s, random_effective_divisor(s, rng))))
+        out += [(s, random_effective_divisor(s, rng)) for _ in range(25)]
     for name, *_ in CATALOGUE_TABLE:
         s = surface_from_name(name)
-        for k in (1, 2, 3):
-            out.append(transfer_to_json_dict(transfer_sequence(s, tuple(k * x for x in s.minus_K))))
+        out += [(s, tuple(k * x for x in s.minus_K)) for k in (1, 2, 3)]
+    return out
+
+
+def golden_corpus_json() -> str:
+    """Transfer JSON of the golden corpus."""
+    out = [transfer_to_json_dict(transfer_sequence(s, d)) for s, d in golden_corpus()]
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
 def test_golden_transfer_corpus():
     assert hashlib.sha1(golden_corpus_json().encode()).hexdigest() == GOLDEN_SHA1
+
+
+def _walk_outcome(walk, s, d):
+    """The transfer JSON of a walk, or the class and message of its error."""
+    try:
+        return transfer_to_json_dict(walk(s, d))
+    except DelPezzoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kinds_against_reference(corpus) -> dict:
+    """Assert the walk equals the reference walk on every (surface, divisor)
+    of corpus; returns how many steps of each kind the corpus took."""
+    kinds: dict = {}
+    for s, d in corpus:
+        got = _walk_outcome(transfer_sequence, s, d)
+        assert got == _walk_outcome(reference_transfer_sequence, s, d), (s.name, d)
+        for st in got["steps"] if isinstance(got, dict) else ():
+            kinds[st["kind"]] = kinds.get(st["kind"], 0) + 1
+    return kinds
+
+
+class TestReferenceWalk:
+    """The phased walk against the one-step-per-turn reference walk."""
+
+    def test_golden_corpus(self):
+        kinds = _kinds_against_reference(golden_corpus())
+        assert kinds["ample_step"] > 500 and kinds["contract"] > 100
+
+    def test_long_phases_on_anticanonical_multiples(self):
+        corpus = [(s, tuple(n * x for x in s.minus_K)) for s in catalogue() for n in range(1, 41)]
+        kinds = _kinds_against_reference(corpus)
+        assert kinds["ample_step"] > 20_000
+
+    def test_non_nef_starts(self):
+        # D + kE for a real (-1)-curve E meets E negatively once k > D.E, so
+        # these walks open with subtractions before any phase
+        rng = random.Random(1985)
+        corpus = []
+        for s in catalogue():
+            for e in minus_one_curves(s):
+                if s.is_real(e):
+                    for d in (s.minus_K, random_effective_divisor(s, rng)):
+                        corpus += [(s, tuple(x + k * y for x, y in zip(d, e))) for k in range(1, 7)]
+        kinds = _kinds_against_reference(corpus)
+        assert kinds["subtract_negative_curve"] > 2_000 and kinds["ample_step"] > 2_000

@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from conftest import fraction_column_solve, fraction_rank, fraction_solve_in_column_span
+from conftest import (
+    fraction_column_solve,
+    fraction_enumerate_quadric_points,
+    fraction_rank,
+    fraction_solve_in_column_span,
+)
 from sostransfer._intlinalg import (
     _ldl,
     _ldl_solve,
@@ -166,3 +171,46 @@ def test_ldl_centre_solve_matches_fraction_solve():
         a = [[Fraction(sum(m[t][i] * m[t][j] for t in range(k)) + (i == j)) for j in range(k)] for i in range(k)]
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(k)]
         assert _ldl_solve(*_ldl(a), b) == fraction_column_solve([[row[j] for row in a] for j in range(k)], b)
+
+
+def _random_fraction(rng, lo, hi, max_den=60):
+    den = rng.randint(1, max_den)
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def test_integer_enumeration_matches_fraction_recursion():
+    # Random LᵀDL factors and centres with denominators up to 60, k <= 7:
+    # radii hit by an integer point (the nearest-plane one), random radii, radius 0 (with integral
+    # and with rational centres) and negative radii give the same lists, in
+    # the same order, as the Fraction recursion.
+    rng = random.Random(47)
+    seen = dict.fromkeys(("hits", "random", "zero", "negative"), 0)
+    points = 0
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        d = [_random_fraction(rng, 1, 8) for _ in range(k)]
+        lmat = [[_random_fraction(rng, -1, 1) if j > i else Fraction(0) for j in range(k)] for i in range(k)]
+        center = [_random_fraction(rng, -20, 20) for _ in range(k)]
+        kind = rng.choice(sorted(seen))
+        if kind == "hits":
+            # the nearest-plane point: each level rounded to its own centre
+            z = [Fraction(0)] * k
+            radius = Fraction(0)
+            for i in reversed(range(k)):
+                inner = sum(lmat[i][j] * z[j] for j in range(i + 1, k))
+                z[i] = round(center[i] - inner) - center[i]
+                radius += d[i] * (z[i] + inner) ** 2
+        elif kind == "random":
+            radius = _random_fraction(rng, 0, 6)
+        elif kind == "zero":
+            radius = Fraction(0)
+            if rng.random() < 0.5:
+                center = [Fraction(round(c)) for c in center]
+        else:
+            radius = _random_fraction(rng, -6, -1)
+        got = enumerate_quadric_points(d, lmat, center, radius)
+        assert got == fraction_enumerate_quadric_points(d, lmat, center, radius)
+        assert all(type(x) is int for y in got for x in y)
+        points += len(got)
+        seen[kind] += 1
+    assert min(seen.values()) > 70 and points > 100
