@@ -1,25 +1,22 @@
 """Exact linear algebra on integer lattices.
 
-Every integer elimination here is one unimodular column reduction,
+Every linear solve here rests on one unimodular column reduction,
 ``_column_reduce``: A·U = [H | 0] with U unimodular and H in column echelon
 form.  Kernel bases are the last columns of U, a single linear Diophantine
-equation is solved from H's one pivot, and an integer combination of
-full-column-rank columns is solved pivot by pivot with exact division, so the
-solves of a lattice walk never leave the integers.
+equation is solved from H's one pivot, and integer combinations of
+full-column-rank columns are solved pivot by pivot with exact division, one
+reduction serving every right-hand side.
 
-The one rational elimination is ``_ldl``, which factors the positive-definite
-part of an affine quadric as LᵀDL; ``solve_quadratic_lattice`` solves the
-quadric's centre from those factors, and ``enumerate_quadric_points`` scales
-the factors, centre and radius to integers once and enumerates the lattice
-points in integers.  Fractions occur only in the LDL factors and the centre;
-nothing uses floats.
+The quadrics of ``solve_quadratic_lattice`` are one integer matrix each,
+factored by a symmetric fraction-free (Bareiss) elimination whose pivots are
+leading minors; ``enumerate_quadric_points`` scales the completed squares
+once by the lcm of adjacent pivot products and enumerates the lattice
+points.  No step leaves the integers.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from numbers import Rational
 from operator import mul
 from typing import Optional, Sequence
 
@@ -84,107 +81,85 @@ def solve_single_row(row: Sequence[int], target: int) -> Optional[Vec]:
     return tuple(target // g * x for x in ucols[0])
 
 
-def solve_in_column_span(cols: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[Vec]:
-    """Integer y with sum_j y_j * cols[j] = v, for full-column-rank cols.
+def solve_in_column_span(cols: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> list[Optional[Vec]]:
+    """Integer y with sum_j y_j * cols[j] = v for each v in vs, for
+    full-column-rank cols, from one column reduction.
 
     With A the matrix whose rows are cols, y·A = v is y·[H | 0] = w for
-    w = Uᵀv.  Returns None when w is nonzero past the rank (v is outside the
-    rational span) or when a pivot division is not exact (the rational
-    solution is not integral; this cannot happen when cols is a
+    w = Uᵀv.  The answer for v is None when w is nonzero past the rank (v is
+    outside the rational span) or when a pivot division is not exact (the
+    rational solution is not integral; this cannot happen when cols is a
     saturated-kernel basis and v lies in the kernel).
     """
-    h, ucols, rank = _column_reduce(cols, len(v))
-    w = [sum(map(mul, u, v)) for u in ucols]
-    if any(w[rank:]):
-        return None
     k = len(cols)
-    y = [0] * k
-    for j in reversed(range(rank)):
-        p = next(i for i in range(k) if h[i][j] != 0)
-        q, r = divmod(w[j] - sum(y[i] * h[i][j] for i in range(p + 1, k)), h[p][j])
-        if r != 0:
+    h, ucols, rank = _column_reduce(cols, len(cols[0]))
+    pivots = [next(i for i in range(k) if h[i][j] != 0) for j in range(rank)]
+
+    def solve(v: Sequence[int]) -> Optional[Vec]:
+        w = [sum(map(mul, u, v)) for u in ucols]
+        if any(w[rank:]):
             return None
-        y[p] = q
-    return tuple(y)
+        y = [0] * k
+        for j in reversed(range(rank)):
+            p = pivots[j]
+            q, r = divmod(w[j] - sum(y[i] * h[i][j] for i in range(p + 1, k)), h[p][j])
+            if r != 0:
+                return None
+            y[p] = q
+        return tuple(y)
+
+    return [solve(v) for v in vs]
 
 
-def _ldl(a: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """A = LᵀDL for positive-definite A: the diagonal of D, and L above its
-    unit diagonal (lmat[i][j] for j > i; the stored diagonal is zero)."""
-    k = len(a)
-    m = [row[:] for row in a]
-    d = [Fraction(0)] * k
-    lmat = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        d[i] = m[i][i]
-        if d[i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, k):
-            lmat[i][j] = m[i][j] / d[i]
-        for r in range(i + 1, k):
-            for c in range(r, k):
-                m[r][c] -= d[i] * lmat[i][r] * lmat[i][c]
-                m[c][r] = m[r][c]
-    return d, lmat
+def enumerate_quadric_points(b: Sequence[Sequence[int]]) -> list[Vec]:
+    """All integer y with (y, 1)ᵀ B (y, 1) = 0, for a symmetric integer
+    (k+1)×(k+1) matrix B whose leading k×k block is positive definite.
 
-
-def _ldl_solve(d: list[Fraction], lmat: list[list[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    """h with A h = b for A = LᵀDL given by its ``_ldl`` factors."""
-    k = len(d)
-    u: list[Fraction] = []
-    for i in range(k):
-        u.append(b[i] - sum(lmat[j][i] * u[j] for j in range(i)))
-    h = [ui / di for ui, di in zip(u, d)]
-    for i in reversed(range(k)):
-        h[i] -= sum(lmat[i][j] * h[j] for j in range(i + 1, k))
-    return h
-
-
-def enumerate_quadric_points(
-    d: Sequence[Rational],
-    lmat: Sequence[Sequence[Rational]],
-    center: Sequence[Rational],
-    radius: Rational,
-) -> list[Vec]:
-    """All integer y with (y - center)ᵀ A (y - center) = radius, for
-    positive-definite A given by its ``_ldl`` factors.
-
-    The recursion runs on integers (Fincke-Pohst, levels k-1 down to 0, each
-    level's values ascending).  With M the lcm of the denominators of the
-    centre and of L, and D that of d and the radius, Zⱼ = M·yⱼ - M·centreⱼ
-    and Sᵢ = M·Zᵢ + Σⱼ>ᵢ (M·lᵢⱼ)·Zⱼ = M²·(yᵢ - cᵢ); a level is kept iff
-    (D·dᵢ)·Sᵢ² ≤ REM, where REM starts at D·M⁴·radius and loses each kept
-    level's term, so the range of yᵢ is one isqrt.
+    A symmetric fraction-free (Bareiss) elimination leaves integer rows M
+    whose pivots pᵢ = M_ii are the leading minors (p_{-1} = 1).  With
+    Sᵢ = pᵢ·yᵢ + Σ_{i<j<k} M_ij·yⱼ + M_ik the quadric is
+    Σᵢ Sᵢ²/(p_{i-1}pᵢ) + p_k/p_{k-1}; scaled once by L = lcm(p_{i-1}pᵢ), a
+    level is kept iff (L/(p_{i-1}pᵢ))·Sᵢ² ≤ REM, where REM starts at
+    -(L/p_{k-1})·p_k and loses each kept level's term, so the range of yᵢ
+    is one isqrt.  The recursion (Fincke-Pohst) runs levels k-1 down to 0,
+    each level's values ascending.
     """
-    k = len(d)
-    if radius < 0:
+    k = len(b) - 1
+    m = [list(row) for row in b]
+    piv = [1]  # piv[i + 1] = p_i
+    for i in range(k):
+        p, mi = m[i][i], m[i]
+        if p <= 0:
+            raise ValueError("matrix is not positive definite")
+        for r in range(i + 1, k + 1):
+            mr, mir = m[r], mi[r]
+            for c in range(r, k + 1):  # the upper triangle; division exact
+                mr[c] = (p * mr[c] - mir * mi[c]) // piv[-1]
+        piv.append(p)
+    scale = math.lcm(*(piv[i] * piv[i + 1] for i in range(k)))
+    rem0 = -(scale // piv[k]) * m[k][k]
+    if rem0 < 0:
         return []
-    m = math.lcm(*(x.denominator for x in center), *(lmat[i][j].denominator for i in range(k) for j in range(i + 1, k)))
-    dd = math.lcm(radius.denominator, *(x.denominator for x in d))
-    m2 = m * m
-    dm = [dd * x.numerator // x.denominator for x in d]
-    mc = [m * x.numerator // x.denominator for x in center]
-    ml = [[(j, m * lmat[i][j].numerator // lmat[i][j].denominator) for j in range(i + 1, k)] for i in range(k)]
+    weight = [scale // (piv[i] * piv[i + 1]) for i in range(k)]
     out: list[Vec] = []
     y = [0] * k
-    z = [0] * k  # Z_j = M·y_j - M·center_j for chosen levels
 
     def recurse(i: int, rem: int) -> None:
         if i < 0:
             if rem == 0:
                 out.append(tuple(y))
             return
-        # S_i = M²·y_i + t with t = Σⱼ>ᵢ (M·lᵢⱼ)·Zⱼ - M·(M·cᵢ); |S_i| ≤ isqrt(rem // (D·dᵢ))
-        t = sum(mlij * z[j] for j, mlij in ml[i]) - m * mc[i]
-        di = dm[i]
-        b = math.isqrt(rem // di)
-        for yi in range(-((b + t) // m2), (b - t) // m2 + 1):
-            si = m2 * yi + t
+        # S_i = p_i·y_i + t; |S_i| ≤ isqrt(rem // weight_i)
+        row = m[i]
+        t = row[k] + sum(row[j] * y[j] for j in range(i + 1, k))
+        p, wi = row[i], weight[i]
+        bound = math.isqrt(rem // wi)
+        for yi in range(-((bound + t) // p), (bound - t) // p + 1):
+            si = p * yi + t
             y[i] = yi
-            z[i] = m * yi - mc[i]
-            recurse(i - 1, rem - di * si * si)
+            recurse(i - 1, rem - wi * si * si)
 
-    recurse(k - 1, dd * m2 * m2 * radius.numerator // radius.denominator)
+    recurse(k - 1, rem0)
     return out
 
 
@@ -213,20 +188,15 @@ def solve_quadratic_lattice(
         return [tuple(x0)] if c0 == square else []
     # pairings read off the rows G.b, one per basis vector
     gb = [mat_vec(gram, b) for b in bcols]
-    a_pd = [[Fraction(-sum(map(mul, bcols[i], gb[j]))) for j in range(k)] for i in range(k)]
-    w = [Fraction(sum(map(mul, b, gx0))) for b in bcols]
-    # x = x0 + B y ; x.G.x = c0 + 2 w.y - y.A.y = square
-    # => y.A.y - 2 w.y + (square - c0) = 0 ; complete the square at h = A^{-1} w
-    d, lmat = _ldl(a_pd)
-    h = _ldl_solve(d, lmat, w)
-    r = sum(h[i] * w[i] for i in range(k)) - Fraction(square - c0)
-    ys = enumerate_quadric_points(d, lmat, h, r)
-    out = []
-    for y in ys:
-        x = tuple(x0[i] + sum(y[j] * bcols[j][i] for j in range(k)) for i in range(n))
-        out.append(x)
-    out.sort()
-    return out
+    w = [sum(map(mul, b, gx0)) for b in bcols]
+    # x = x0 + B y ; x.G.x = c0 + 2 w.y - y.A.y = square for A = -BᵀGB
+    # <=> (y, 1)ᵀ [[A, -w], [-wᵀ, square - c0]] (y, 1) = 0
+    quadric = [[-sum(map(mul, bcols[i], gb[j])) for j in range(k)] + [-w[i]] for i in range(k)]
+    quadric.append([-wi for wi in w] + [square - c0])
+    brows = tuple(zip(*bcols))
+    return sorted(
+        tuple(a + sum(map(mul, row, y)) for a, row in zip(x0, brows)) for y in enumerate_quadric_points(quadric)
+    )
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -755,12 +755,12 @@ def _contract(s: SurfaceModel, curve_list: tuple[Divisor, ...]) -> Contraction:
     # the curves pair to -I, so d -> d + sum_c (d.c) c projects the lattice
     # onto their orthogonal complement (and K onto K - sum_c c); column j of
     # proj holds the basis coordinates of the projected unit vector e_j
-    cols = []
+    images = []
     for j, e in enumerate(identity(n)):
         for c, row in zip(curve_list, rows):
             e = _vec_add(e, _scaled(c, row[j]))
-        cols.append(solve_in_column_span(basis, e))
-    proj = tuple(zip(*cols))
+        images.append(e)
+    proj = tuple(zip(*solve_in_column_span(basis, images)))
     gram2 = tuple(
         tuple(s.intersect(basis[i], basis[j]) for j in range(k)) for i in range(k)
     )

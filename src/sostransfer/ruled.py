@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -97,13 +96,12 @@ def nef_threshold(a_squared: int, a_dot_k: int, k_squared: int) -> int:
     """
     if a_squared <= 0:
         raise RuledDataError("A^2 must be positive for an ample class")
-    ell = 0
-    while True:
-        if ell * ell * a_squared - 2 * ell * a_dot_k + k_squared - 1 > 0:
-            return ell
-        ell += 1
-        if ell > 4 * (abs(a_dot_k) + abs(k_squared) + 2):
-            raise RuledDataError("no nef threshold found; data is inconsistent")
+    if k_squared > 1:
+        return 0
+    # K^2 - 1 <= 0, so the least root is <= 0 and ell is the least integer
+    # past the greatest root (A.K + sqrt(disc)) / A^2
+    disc = a_dot_k * a_dot_k - a_squared * (k_squared - 1)
+    return (a_dot_k + math.isqrt(disc)) // a_squared + 1
 
 
 def exceptional_margin(data: RuledData, d: int, m: int, k: int) -> int:
@@ -142,9 +140,9 @@ def minimal_transfer_t(s: int) -> int:
     The rational partial sum is tracked through scaled-integer lower/upper
     bounds (the comparison against 2 + 2 sqrt(s) squares both sides, so it
     stays in integers); only if the bounds ever straddle the threshold does
-    the code fall back to one exact rational evaluation.  The partial sum is
-    never equal to the threshold, so the decision is always exact.  A t past
-    ``MAX_LADDER_STEPS`` is refused with RuledDataError.
+    the code fall back to one exact evaluation, ``_harmonic_exceeds``.  The
+    partial sum is never equal to the threshold, so the decision is always
+    exact.  A t past ``MAX_LADDER_STEPS`` is refused with RuledDataError.
     """
     scale = 1 << 64
     target = 4 * s * scale * scale
@@ -164,9 +162,16 @@ def minimal_transfer_t(s: int) -> int:
             continue  # definitely below the threshold
         if lo_shift > 0 and lo_shift * lo_shift > target:
             return t  # definitely above
-        total = sum(Fraction(1, i) for i in range(2, t + 2))
-        if total > 2 and (total - 2) ** 2 > 4 * s:
+        if _harmonic_exceeds(t, s):
             return t
+
+
+def _harmonic_exceeds(t: int, s: int) -> bool:
+    """Whether 1/2 + ... + 1/(t+1) > 2(1 + sqrt(s)), with the sum kept as
+    p/q for q = lcm(2, ..., t+1)."""
+    q = math.lcm(*range(2, t + 2))
+    p = sum(q // i for i in range(2, t + 2))
+    return p > 2 * q and (p - 2 * q) ** 2 > 4 * s * q * q
 
 
 @dataclass(frozen=True)
@@ -268,10 +273,12 @@ _MINIMAL_D_WINDOW = 10
 
 
 def minimal_d(data: RuledData) -> int:
-    """Smallest d such that schedules exist for every degree in [d, d+10].
+    """A d, found by doubling and bisection, with schedules for every degree
+    in [d, d+10]; degrees above it can lack a schedule.
 
-    The window guards against non-monotone boundary effects near the first
-    working degree; margins grow linearly in d, so a threshold exists.
+    Whether a degree has a schedule is not monotone in d (a step's k_j can
+    miss its lower bound far above the first working degree), so this need
+    not be the smallest such d.
     """
 
     def pred(d: int) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -820,9 +820,64 @@ def random_unimodular_pair(rng: random.Random, n: int, moves: int = 4):
     return tuple(map(tuple, u)), tuple(map(tuple, inv))
 
 
+# -- linear algebra oracles --------------------------------------------------------
+
+
+def fraction_ldl(a):
+    """A = LᵀDL for positive-definite A: the diagonal of D, and L above its
+    unit diagonal (lmat[i][j] for j > i; the stored diagonal is zero)."""
+    k = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    d = [Fraction(0)] * k
+    lmat = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        d[i] = m[i][i]
+        if d[i] <= 0:
+            raise ValueError("matrix is not positive definite")
+        for j in range(i + 1, k):
+            lmat[i][j] = m[i][j] / d[i]
+        for r in range(i + 1, k):
+            for c in range(r, k):
+                m[r][c] -= d[i] * lmat[i][r] * lmat[i][c]
+                m[c][r] = m[r][c]
+    return d, lmat
+
+
+def fraction_ldl_solve(d, lmat, b):
+    """h with A h = b for A = LᵀDL given by its ``fraction_ldl`` factors."""
+    k = len(d)
+    u = []
+    for i in range(k):
+        u.append(b[i] - sum(lmat[j][i] * u[j] for j in range(i)))
+    h = [ui / di for ui, di in zip(u, d)]
+    for i in reversed(range(k)):
+        h[i] -= sum(lmat[i][j] * h[j] for j in range(i + 1, k))
+    return h
+
+
+def ldl_product(d, lmat):
+    """LᵀDL from the diagonal of D and L above its unit diagonal."""
+    k = len(d)
+    unit = [[Fraction(1) if i == j else lmat[i][j] for j in range(k)] for i in range(k)]
+    return [[sum(d[t] * unit[t][r] * unit[t][c] for t in range(k)) for c in range(k)] for r in range(k)]
+
+
+def integer_quadric_matrix(a, center, radius):
+    """The symmetric integer matrix B with (y, 1)ᵀ B (y, 1) a positive
+    multiple of (y - center)ᵀ A (y - center) - radius: the rational
+    [[A, -A·c], [-(A·c)ᵀ, cᵀA·c - radius]] scaled by the lcm of its
+    denominators."""
+    k = len(a)
+    ac = [sum(Fraction(a[i][j]) * center[j] for j in range(k)) for i in range(k)]
+    rows = [[Fraction(x) for x in a[i]] + [-ac[i]] for i in range(k)]
+    rows.append([-x for x in ac] + [sum(c * x for c, x in zip(center, ac)) - radius])
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows]
+
+
 def fraction_enumerate_quadric_points(d, lmat, center, radius):
     """All integer y with (y - center)ᵀ A (y - center) = radius, for A given
-    by its ``_ldl`` factors, by the Fraction recursion the integer one
+    by its ``fraction_ldl`` factors, by the Fraction recursion the integer one
     replaced: levels k-1 down to 0, each level's values ascending."""
     k = len(d)
     if radius < 0:
@@ -850,9 +905,6 @@ def fraction_enumerate_quadric_points(d, lmat, center, radius):
 
     recurse(k - 1, Fraction(radius))
     return out
-
-
-# -- linear algebra oracles --------------------------------------------------------
 
 
 def fraction_column_solve(cols, v):
@@ -913,3 +965,16 @@ def fraction_rank(matrix) -> int:
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+# -- ruled oracles -----------------------------------------------------------------
+
+
+def counted_nef_threshold(a_squared: int, a_dot_k: int, k_squared: int) -> int:
+    """Smallest ell >= 0 with ell^2 A^2 - 2 ell A.K + K^2 - 1 > 0, counted
+    up from 0 (it exists: with A^2 >= 1 the quadratic is positive at
+    4(|A.K| + |K^2| + 2))."""
+    ell = 0
+    while ell * ell * a_squared - 2 * ell * a_dot_k + k_squared - 1 <= 0:
+        ell += 1
+    return ell

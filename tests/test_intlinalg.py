@@ -7,12 +7,14 @@ from math import ceil, floor, isqrt
 from conftest import (
     fraction_column_solve,
     fraction_enumerate_quadric_points,
+    fraction_ldl,
+    fraction_ldl_solve,
     fraction_rank,
     fraction_solve_in_column_span,
+    integer_quadric_matrix,
+    ldl_product,
 )
 from sostransfer._intlinalg import (
-    _ldl,
-    _ldl_solve,
     enumerate_quadric_points,
     kernel_basis,
     solve_in_column_span,
@@ -41,7 +43,7 @@ def test_kernel_basis_randomized():
         for _ in range(4):
             v = tuple(rng.randint(-3, 3) for _ in range(n))
             if basis and all(sum(row[i] * v[i] for i in range(n)) == 0 for row in rows):
-                assert solve_in_column_span(basis, v) is not None
+                assert solve_in_column_span(basis, [v]) != [None]
 
 
 def test_solve_single_row_randomized():
@@ -119,9 +121,10 @@ def test_quadric_points_on_exact_boundaries():
             z = [yi - ci for yi, ci in zip(y, c)]
             if sum(z[i] * a[i][j] * z[j] for i in range(k) for j in range(k)) == radius:
                 brute.add(y)
-        got = enumerate_quadric_points(*_ldl(a), c, radius)
+        got = enumerate_quadric_points(integer_quadric_matrix(a, c, radius))
         assert tuple(y0) in brute
         assert len(got) == len(set(got)) and set(got) == brute
+        assert got == fraction_enumerate_quadric_points(*fraction_ldl(a), c, radius)
 
 
 def _full_rank_columns(rng, n, k):
@@ -150,7 +153,7 @@ def test_solve_in_column_span_matches_fraction_oracle():
         v = tuple(int(sum(y[j] * cols[j][i] for j in range(k))) for i in range(n))
         if kind == "inconsistent":
             v = tuple(rng.randint(-6, 6) for _ in range(n))
-        got = solve_in_column_span(cols, v)
+        [got] = solve_in_column_span(cols, [v])
         assert got == fraction_solve_in_column_span(cols, v)
         if kind == "integral":
             assert got == tuple(y)
@@ -162,7 +165,43 @@ def test_solve_in_column_span_matches_fraction_oracle():
     assert min(seen.values()) > 100
 
 
+def test_batched_solves_match_fraction_oracle():
+    # One call per system, its right-hand sides mixing integral,
+    # non-integral and out-of-span solutions, answered in order.  Column 0
+    # is scaled by s, so the coefficient c/s (s not dividing c) gives an
+    # integer right-hand side whose only solution is not integral.
+    rng = random.Random(48)
+    seen = dict.fromkeys(("integral", "non_integral", "inconsistent"), 0)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        k = rng.randint(1, n - 1)
+        cols = _full_rank_columns(rng, n, k)
+        s = rng.randint(2, 4)
+        cols[0] = tuple(s * x for x in cols[0])
+        vs = []
+        for _ in range(rng.randint(1, 8)):
+            y = [Fraction(rng.randint(-4, 4)) for _ in range(k)]
+            kind = rng.choice(sorted(seen))
+            if kind == "non_integral":
+                y[0] = Fraction(s * rng.randint(-3, 3) + rng.randint(1, s - 1), s)
+            v = tuple(int(sum(y[j] * cols[j][i] for j in range(k))) for i in range(n))
+            if kind == "inconsistent":
+                v = tuple(rng.randint(-6, 6) for _ in range(n))
+            vs.append(v)
+        got = solve_in_column_span(cols, vs)
+        assert got == [fraction_solve_in_column_span(cols, v) for v in vs]
+        for v, g in zip(vs, got):
+            if g is not None:
+                seen["integral"] += 1
+            elif fraction_column_solve(cols, v) is None:
+                seen["inconsistent"] += 1
+            else:
+                seen["non_integral"] += 1
+    assert min(seen.values()) > 100
+
+
 def test_ldl_centre_solve_matches_fraction_solve():
+    # the LDL oracles behind the enumeration tests against Gauss-Jordan
     rng = random.Random(46)
     for _ in range(200):
         k = rng.randint(1, 6)
@@ -170,7 +209,7 @@ def test_ldl_centre_solve_matches_fraction_solve():
         # MᵀM + I is positive definite
         a = [[Fraction(sum(m[t][i] * m[t][j] for t in range(k)) + (i == j)) for j in range(k)] for i in range(k)]
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(k)]
-        assert _ldl_solve(*_ldl(a), b) == fraction_column_solve([[row[j] for row in a] for j in range(k)], b)
+        assert fraction_ldl_solve(*fraction_ldl(a), b) == fraction_column_solve([[row[j] for row in a] for j in range(k)], b)
 
 
 def _random_fraction(rng, lo, hi, max_den=60):
@@ -179,7 +218,8 @@ def _random_fraction(rng, lo, hi, max_den=60):
 
 
 def test_integer_enumeration_matches_fraction_recursion():
-    # Random LᵀDL factors and centres with denominators up to 60, k <= 7:
+    # Random LᵀDL factors and centres with denominators up to 60, k <= 7,
+    # scaled into one integer matrix for the Bareiss enumeration:
     # radii hit by an integer point (the nearest-plane one), random radii, radius 0 (with integral
     # and with rational centres) and negative radii give the same lists, in
     # the same order, as the Fraction recursion.
@@ -208,7 +248,7 @@ def test_integer_enumeration_matches_fraction_recursion():
                 center = [Fraction(round(c)) for c in center]
         else:
             radius = _random_fraction(rng, -6, -1)
-        got = enumerate_quadric_points(d, lmat, center, radius)
+        got = enumerate_quadric_points(integer_quadric_matrix(ldl_product(d, lmat), center, radius))
         assert got == fraction_enumerate_quadric_points(d, lmat, center, radius)
         assert all(type(x) is int for y in got for x in y)
         points += len(got)

@@ -1,6 +1,8 @@
+from fractions import Fraction
 from math import isqrt
 
 import pytest
+from conftest import counted_nef_threshold
 
 from sostransfer import ruled
 from sostransfer.ruled import (
@@ -73,6 +75,12 @@ class TestNefThreshold:
     def test_canonical_genus_three(self):
         assert nef_threshold(8, -4, -16) == 2
 
+    def test_closed_form_matches_counting(self):
+        for a in range(1, 40):
+            for b in range(-40, 41):
+                for c in range(-60, 61):
+                    assert nef_threshold(a, b, c) == counted_nef_threshold(a, b, c), (a, b, c)
+
 
 class TestMargins:
     def test_exceptional_base_value(self):
@@ -117,6 +125,16 @@ class TestSchedules:
         # harmonic tail must exceed 4: first harmonic number above 5 is H_83
         assert minimal_transfer_t(1) == 82
 
+    def test_integer_harmonic_fallback_matches_fractions(self):
+        # the exact test the bounds fall back to when they straddle, which
+        # they almost never do, against the Fraction sum
+        total = Fraction(0)
+        for t in range(1, 301):
+            total += Fraction(1, t + 1)
+            for s in range(51):
+                expected = total > 2 and (total - 2) ** 2 > 4 * s
+                assert ruled._harmonic_exceeds(t, s) == expected, (t, s)
+
     def test_elliptic_below_threshold(self):
         with pytest.raises(ScheduleError):
             build_schedule(ELLIPTIC, 4)
@@ -132,8 +150,6 @@ class TestSchedules:
         for j, kj in enumerate(sched.k, start=1):
             assert (2 * j * (kj + 1)) ** 2 <= lam
             assert (2 * (j + 1) * kj) ** 2 >= lam
-        from fractions import Fraction
-
         q = sum(Fraction(1, i) for i in range(1, sched.t + 2))
         m_t = sched.m[-1]
         assert 4 * m_t * m_t <= q * q * lam
@@ -158,6 +174,20 @@ class TestSchedules:
         data = genus_example_data("canonical_times_line", 3, 1)
         doubled = RuledData(2 * data.minusK_dot_H, data.H_dot_HplusK, data.chiO, data.ell)
         assert minimal_d(doubled) <= minimal_d(data)
+
+    def test_schedules_are_not_monotone_in_degree(self):
+        # whether a degree has a schedule is not monotone in d: on the
+        # canonical genus-3 data, a degree between working ones fails when
+        # a step's k_j misses its lower bound
+        data = RuledData(4, 4, -2, 2)
+        assert data == genus_example_data("canonical_times_line", 3, 1)
+        for d in (2_285_826_497, *range(2_158_442_105, 2_158_442_116), 2_620_156_050):
+            build_schedule(data, d)
+        with pytest.raises(ScheduleError, match="k_190 misses its lower bound"):
+            build_schedule(data, 2_285_826_498)
+        for d in (2_158_442_104, 2_620_156_049):
+            with pytest.raises(ScheduleError):
+                build_schedule(data, d)
 
     def test_minimal_d_self_consistent(self):
         data = genus_example_data("canonical_times_line", 3, 1)

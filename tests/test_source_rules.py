@@ -1,20 +1,13 @@
-"""Rules the source tree keeps: no floating-point arithmetic in ``src``,
-``Fraction`` only in the few functions allowed it, every cache in ``src`` has
-an integer bound, and every private module-level name in ``src`` is read
-somewhere in ``src``."""
+"""Rules the source tree keeps: no floating-point arithmetic in ``src``, no
+``fractions`` import and no ``Fraction`` name in ``src``, every cache in
+``src`` has an integer bound, and every private module-level name in ``src``
+is read somewhere in ``src``."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sostransfer"
 FLOAT_MATH = {"sqrt", "exp", "log", "pow"}
-#: The top-level functions of each module that may name ``Fraction``: the
-#: LDL factors of a quadric and its centre, and the ruled ladder's exact
-#: harmonic-sum fallback where its integer bounds straddle the threshold.
-FRACTION_ALLOWED = {
-    "_intlinalg.py": frozenset({"_ldl", "_ldl_solve", "solve_quadratic_lattice"}),
-    "ruled.py": frozenset({"minimal_transfer_t"}),
-}
 
 
 def _float_uses(tree: ast.AST) -> list[str]:
@@ -36,27 +29,18 @@ def _float_uses(tree: ast.AST) -> list[str]:
     return found
 
 
-def _fraction_uses(tree: ast.Module, allowed: frozenset = frozenset()) -> list[str]:
-    """Names of ``Fraction`` (bare or as ``fractions.Fraction``, annotations
-    included) outside the top-level functions in allowed, and imports of
-    ``fractions`` in a module that allows no function."""
-    inside = {
-        id(sub)
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in allowed
-        for sub in ast.walk(node)
-    }
+def _fraction_uses(tree: ast.AST) -> list[str]:
+    """Imports of ``fractions`` and names of ``Fraction``, bare or as
+    ``fractions.Fraction``, annotations included."""
     found = []
     for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
         if isinstance(node, ast.Name) and node.id == "Fraction":
             found.append(f"Fraction at line {node.lineno}")
         elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
             found.append(f"{ast.unparse(node)} at line {node.lineno}")
-        elif not allowed and isinstance(node, ast.Import):
+        elif isinstance(node, ast.Import):
             found += [f"import {a.name}" for a in node.names if a.name == "fractions"]
-        elif not allowed and isinstance(node, ast.ImportFrom) and node.module == "fractions":
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
             found.append("from fractions import")
     return found
 
@@ -144,13 +128,8 @@ def test_src_has_no_floats():
     assert _rule_violations(_float_uses) == {}
 
 
-def test_src_fractions_only_where_allowed():
-    found = {}
-    for name, tree in _src_trees().items():
-        uses = _fraction_uses(tree, FRACTION_ALLOWED.get(name, frozenset()))
-        if uses:
-            found[name] = uses
-    assert found == {}
+def test_src_has_no_fractions():
+    assert _rule_violations(_fraction_uses) == {}
 
 
 def test_src_caches_are_bounded():
@@ -197,21 +176,19 @@ def test_the_fraction_rule_catches_each_kind():
         "import fractions\n"
         "from fractions import Fraction\n"
         "HALF = Fraction(1, 2)\n"
-        "def allowed(x): return Fraction(x) + fractions.Fraction(1)\n"
         "def annotated(x: Fraction) -> int: return 0\n"
         "def qualified(): return fractions.Fraction(3)\n"
         "class Holder:\n"
         "    def method(self): return Fraction(4)\n"
     )
-    tree = ast.parse(code)
-    assert _fraction_uses(tree, frozenset({"allowed"})) == [
+    assert _fraction_uses(ast.parse(code)) == [
+        "import fractions",
+        "from fractions import",
         "Fraction at line 3",
-        "Fraction at line 5",
-        "fractions.Fraction at line 6",
-        "Fraction at line 8",
+        "Fraction at line 4",
+        "fractions.Fraction at line 5",
+        "Fraction at line 7",
     ]
-    # with no function allowed, the imports count as well
-    assert _fraction_uses(tree)[:2] == ["import fractions", "from fractions import"]
 
 
 def test_the_cache_rule_catches_each_kind():
