@@ -26,7 +26,7 @@ print(f"invariants: -K.H = {data.minusK_dot_H}, H.(H+K) = {data.H_dot_HplusK}, "
       f"chi(O) = {data.chiO}, ell = {data.ell}")
 print(f"sectional genus {data.sectional_genus} -> the two-step ladder applies")
 print()
-print(f"minimal applicable degree: {minimal_d(data)}")
+print(f"every degree from {minimal_d(data)} on has a schedule")
 for d in (5, 6, 10):
     sched = build_schedule(data, d)
     print(f"d = {d}: ladder {[list(r) for r in sched.ladder]}, "
@@ -57,6 +57,8 @@ for g, m in ((3, 1), (3, 5)):
     s = minimal_transfer_s(gd)
     print(f"genus {g}, multiplier {m}: H.(H+K) / (-K.H) = "
           f"{gd.H_dot_HplusK // gd.minusK_dot_H}, s = {s}, ladder length t = {minimal_transfer_t(s)}")
+gd = genus_example_data("canonical_times_line", 3, 1)
+print(f"genus 3, multiplier 1: every degree from {minimal_d(gd):,} on has a schedule")
 print()
 print("the step count is not uniformly bounded over all ruled surfaces:")
 print("it grows with the ratio above, which the genus-g family makes large.")

@@ -12,11 +12,11 @@ triangle) as lattice invariants.  Every comparison is exact.
 Counts of a Minkowski sum never need the sum itself: twice the area of
 P + Q is twice the areas of P and Q plus twice their mixed area, its
 boundary count is the sum of theirs, and Pick's theorem turns the two into
-``minkowski_lattice_point_count``.  The transfer criterion counts P + Q and
-P + (-Q) that way.  The candidate polygons (``rectangle``, ``wide_prism``,
-``veronese_triangle``) are built once per process, in bounded caches, and
-a polygon's reflection once per polygon, so the invariants they cache are
-computed once too.
+``minkowski_lattice_point_count``.  The transfer criterion counts P + Q
+that way, and ``reduced_component_total`` counts P + (-Q) from the support
+values it already reads.  The candidate polygons (``rectangle``,
+``wide_prism``, ``veronese_triangle``) are built once per process, in
+bounded caches, so the invariants they cache are computed once too.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ class LatticePolygon:
 
         A half-turn keeps the CCW order, so the negated vertices only rotate
         to start at the new lex-min vertex, the image of the lex-max one.
-        It is built once per polygon, with the invariants it caches, so a
-        candidate Q shared by many transfer checks is reflected once.
+        It is built once per polygon, with the invariants it caches.
         """
         return self._reflection
 
@@ -540,8 +539,11 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     that meets P but not its boundary lies in the interior), so h is the
     sum of the blocks minus that many translates.
 
-    #L(P + (-Q)) comes from areas and boundary counts by Pick's theorem
-    (``minkowski_lattice_point_count``); the zone is never built.  The last
+    #L(P + (-Q)) comes from areas and boundary counts by Pick's theorem, as
+    in ``minkowski_lattice_point_count``, with the mixed term read off the
+    same support values: the support of -Q in the outward normal of e_i,
+    scaled by e_i, is g_i max_w n_i.w, and the mixed term sums it over the
+    edges of P.  The zone is never built.  The last
     count scans the rows of the box where the translates of Q strictly fit
     inside P's bounding box, one exact interval of mx per row: Q + m lies
     inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every inward
@@ -557,14 +559,18 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
     covered = 0  # the sum of blocks(m) over all m
+    mixed = 0  # the mixed area term of P and -Q
     for a, b in p.edges:
         g = gcd(b.x - a.x, b.y - a.y)
         ux, uy = (b.x - a.x) // g, (b.y - a.y) // g
         values = [ux * w.y - uy * w.x for w in q.vertices]
         covered += g * (max(values) - min(values) + 1)
+        mixed += g * max(values)
+    twice_area = p.twice_area + q.twice_area + 2 * mixed
+    zone = (twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count) // 2 + 1
     box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
     inside = sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
-    return covered - minkowski_lattice_point_count(p, q.reflect()) + inside
+    return covered - zone + inside
 
 
 def standard_prism(h1: int, h2: int) -> LatticePolygon:

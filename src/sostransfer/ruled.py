@@ -4,8 +4,9 @@ All data is reduced to four integers: the anticanonical degree of the
 hyperplane class, the self-pairing of the hyperplane with its adjoint, the
 structure-sheaf Euler characteristic of the blow-up, and the nef threshold
 ell.  The two margin evaluators decide one-step transfers on the blow-up;
-the schedule builder assembles the full ladder from dH down to (d-1)H and
-the degree bound replays ladders down to a base degree.
+the schedule builder assembles and verifies the full ladder from dH down
+to (d-1)H.  The minimal degree and the degree bound read which degrees
+have a schedule one isqrt block at a time, without building ladders.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ class ScheduleError(ValueError):
     """No valid schedule at this degree; carries the failing constraint."""
 
 
-#: The most ladder steps one call may build: a ladder of t steps is refused
-#: before it reaches t > MAX_LADDER_STEPS, and a degree bound before it
-#: builds its first schedule.  t grows like e^(2 sqrt(s)), so without the
-#: budget a moderate s or a long degree range would run for hours.
+#: The most ladder steps one call may build or read: a ladder of t steps is
+#: refused before it reaches t > MAX_LADDER_STEPS, a degree bound whose
+#: levels hold more steps before it checks the first, and the block scan of
+#: ``minimal_d`` (t steps per block) once it passes the budget.  t grows like
+#: e^(2 sqrt(s)), so without the budget a moderate s or a long degree range
+#: would run for hours.
 MAX_LADDER_STEPS = 500_000
 
 #: The fields of ruled data JSON, in the order of ``RuledData``.
@@ -247,7 +250,9 @@ def build_schedule(data: RuledData, d: int) -> Schedule:
         if kj < 1:
             raise ScheduleError(f"d too small: empty k-interval at step {j}")
         if 4 * (j + 1) * (j + 1) * kj * kj < lam:
-            raise ScheduleError(f"d too small: k_{j} misses its lower bound")
+            raise ScheduleError(
+                f"no schedule at d = {d}: k_{j} misses its lower bound (larger degrees can miss it too)"
+            )
         margin = exceptional_margin(data, d, ms[-1], kj)
         if margin <= 0:
             raise ScheduleError(f"d too small: step {j} margin {margin}")
@@ -260,48 +265,92 @@ def build_schedule(data: RuledData, d: int) -> Schedule:
     return Schedule(d, s, generic_t, tuple(ks), tuple(ms), tuple(margins), final, "generic")
 
 
-def _schedule_ok(data: RuledData, d: int) -> bool:
-    try:
-        build_schedule(data, d)
-        return True
-    except ScheduleError:
-        return False
+def _block(data: RuledData, r: int, t: int) -> tuple[int, int, int, int]:
+    """(start, end, lo, hi): the degrees start..end whose ladder budget
+    L = 2d(-K.H) - chi(O) has isqrt(L) = r, and lo..hi, those of them with a
+    generic schedule (lo > hi when none has one).
 
+    On a block every k_j = r // 2j - 1, and so every m_j, is fixed, so each
+    check of ``build_schedule`` is a bound on d or needs no test.  With
+    a = -K.H, b = H.(H+K) and H_j = 1 + 1/2 + ... + 1/j:
 
-#: minimal_d asks for schedules on this many degrees past the first.
-_MINIMAL_D_WINDOW = 10
+    - k_j >= 1 for every j exactly when k_t >= 1, that is r >= 4t;
+    - the lower bounds 4(j+1)^2 k_j^2 >= L bound d above;
+    - d >= 2m_t + ell, the descent's precondition, bounds d below and
+      implies every step's d >= 2m_(j-1) + k_j + ell;
+    - the step margins are positive: k_i + 1 <= r/2i gives
+      (2m_(j-1) + k_j)(k_j + 1) < r^2 (H_(j-1) + 1/2j)/2j < r^2 <= L;
+    - the descent margin (1 - 2d)b + m_t(m_t - 1) - chi(O) is positive.
+      For b <= 0 it is at least m_t(m_t - 1) - 1 > 0, as d >= 1 and
+      m_t >= t >= 2.  For b > 0: t is the least with
+      H_(t+1) - 1 > 2 + 2 sqrt(s), so H_t > 2 + 2 sqrt(s), and
+      k_j >= (r + 1)/2j - 2 gives m_t >= (r + 1)H_t/2 - 2t
+      > sqrt(s)(r + 1) + 1 as r >= 4t.  Hence m_t(m_t - 1) - chi(O)
+      >= (m_t - 1)^2 > s(r + 1)^2, while b(2d - 1) < (b/a) 2da
+      <= (b/a)(r + 1)^2 < s(r + 1)^2, as 2da = L + chi(O) <= (r + 1)^2
+      and b < sa.
+    """
+    a2, chi = 2 * data.minusK_dot_H, data.chiO
+    start, end = -(-(r * r + chi) // a2), -(-((r + 1) ** 2 + chi) // a2) - 1
+    ks = [r // (2 * j) - 1 for j in range(1, t + 1)]
+    if ks[-1] < 1:
+        return start, end, start, start - 1
+    m = sum(ks)
+    hi = (min((2 * (j + 1) * k) ** 2 for j, k in enumerate(ks, 1)) + chi) // a2
+    return start, end, max(start, 2 * m + data.ell), min(end, hi)
 
 
 def minimal_d(data: RuledData) -> int:
-    """A d, found by doubling and bisection, with schedules for every degree
-    in [d, d+10]; degrees above it can lack a schedule.
+    """The least d such that every degree from d on has a schedule.
 
-    Whether a degree has a schedule is not monotone in d (a step's k_j can
-    miss its lower bound far above the first working degree), so this need
-    not be the smallest such d.
+    Elliptic data: the short ladder needs d >= 4 + ell for its descent and
+    nothing else, since chi(O) <= 0 makes its step margin
+    2d(-K.H) - 6 - chi(O) and its descent margin 2 - chi(O) positive from
+    d = 4 on.  So the answer is 4 + ell.
+
+    Generic data, in the isqrt blocks of ``_block``, with a = -K.H and
+    H_t = 1 + 1/2 + ... + 1/t.  Every degree of a block
+    r >= r0 = max(4t^2 + 2t, r_C4) has a schedule:
+
+    - k_t >= 1, as r >= 4t, so the step and descent margins are positive
+      (``_block``);
+    - the lower bounds: k_j >= (r + 1)/2j - 2, so 2(j+1)k_j >= r + 1 once
+      r >= 4j^2 + 4j - 1, which covers j < t, and j = t from 4t^2 + 4t - 1
+      on.  The blocks 4t^2 + 2t .. 4t^2 + 4t - 2 have k_t = 2t and
+      2(t+1)k_t = 4t^2 + 4t.  Then 4(j+1)^2 k_j^2 >= (r + 1)^2 > L;
+    - d >= 2m_t + ell: k_j <= r/2j - 1 gives 2m_t <= r H_t - 2t, and the
+      least degree of the block is at least (r^2 + chi(O))/2a, so it holds
+      once r^2 + chi(O) >= 2a(r H_t - 2t + ell).  r_C4 is the first
+      integer past the larger root of that quadratic, with H_t bounded
+      above in 64-bit fixed point (the sum of ceil(2^64/j)).
+
+    The whole block 4t^2 + 2t - 1 fails at j = t: there k_t = 2t - 1 and
+    2(t+1)k_t = r - 1 < sqrt(L).  So blocks are scanned downward from
+    r0 - 1 to the first one holding a degree without a schedule, and the
+    answer is the least degree above that one.  Each block reads t ladder
+    steps; a scan past ``MAX_LADDER_STEPS`` of them is refused with
+    RuledDataError.
     """
-
-    def pred(d: int) -> bool:
-        return all(_schedule_ok(data, dd) for dd in range(d, d + _MINIMAL_D_WINDOW + 1))
-
-    hi = 1
-    while not pred(hi):
-        hi *= 2
-        if hi > 1 << 40:
-            raise ScheduleError("no working degree found")
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a, chi, ell = data.minusK_dot_H, data.chiO, data.ell
+    if data.elliptic_mode:
+        return 4 + ell
+    t = minimal_transfer_t(minimal_transfer_s(data))
+    scale = 1 << 64
+    h_up = sum(-(-scale // j) for j in range(1, t + 1))  # at least scale * H_t
+    disc = (a * h_up) ** 2 - scale * scale * (chi + 4 * a * t - 2 * a * ell)
+    r0 = r = max(4 * t * t + 2 * t, (a * h_up + math.isqrt(max(disc, 0))) // scale + 1)
+    while True:
+        r -= 1
+        if (r0 - r) * t > MAX_LADDER_STEPS:
+            raise RuledDataError(f"the minimal degree needs more than the budget of {MAX_LADDER_STEPS} ladder steps")
+        start, end, lo, hi = _block(data, r, t)
+        if start <= end and (lo > start or hi < end):
+            return lo if lo <= hi == end else end + 1
 
 
 @dataclass(frozen=True)
 class DegreeBound:
-    """Total multiplier degree of the replayed ladder chain."""
+    """Total multiplier degree of the ladder chain from dH down to d0 H."""
 
     d: int
     d0: int
@@ -314,44 +363,42 @@ class DegreeBound:
 def multiplier_degree_bound(data: RuledData, d: int, d0: int) -> DegreeBound:
     """Exact total H-degree of the multiplier chain from dH down to d0 H.
 
-    Every level delta in (d0, d] is transferred by its own validated
-    schedule; the multiplier of each step lives on twice the step's target
-    divisor, so it contributes that target's H-coefficient.  The base-case
-    constant is kept symbolic (zero here).  Two independent accountings (sum
-    while building, and a replay over the stored ladders) must agree; both
-    are computed and compared.  When the levels would build more than
-    ``MAX_LADDER_STEPS`` ladder steps the call is refused up front with
-    RuledDataError.
+    Every level delta in (d0, d] must have a schedule; d0 itself need not,
+    and neither need d0 be at least ``minimal_d``.  The levels are checked
+    once per isqrt block (``_block``; in elliptic mode the levels with a
+    schedule are those from ``minimal_d`` on), and the first level of the
+    chain without a schedule raises the ScheduleError of ``build_schedule``.
+    A level's ladder of t steps (t = 1 in elliptic mode) plus the descent
+    has multipliers on twice each step's target divisor, so it contributes
+    t * delta + (delta - 1); the total is summed in closed form.  The
+    base-case constant is kept symbolic (zero here).  When the levels would
+    span more than ``MAX_LADDER_STEPS`` ladder steps the call is refused up
+    front with RuledDataError.
     """
     if d < d0:
         raise ScheduleError("d must be at least d0")
-    per_level = (1 if data.elliptic_mode else minimal_transfer_t(minimal_transfer_s(data))) + 1
+    t = minimal_transfer_t(minimal_transfer_s(data))
+    per_level = (1 if data.elliptic_mode else t) + 1
     if (d - d0) * per_level > MAX_LADDER_STEPS:
         raise RuledDataError(
             f"{d - d0} levels of {per_level} steps exceed the budget of {MAX_LADDER_STEPS} ladder steps"
         )
-    dmin = minimal_d(data)
-    if d0 < dmin:
-        raise ScheduleError(f"d0 below the minimal applicable degree {dmin}")
-    schedules = []
-    running = 0
-    steps = 0
-    for delta in range(d, d0, -1):
-        sched = build_schedule(data, delta)
-        schedules.append(sched)
-        running += sched.t * delta + (delta - 1)
-        steps += sched.t + 1
-    replay = sum(abs(rung[0]) for sched in schedules for rung in sched.ladder[1:])
-    if replay != running:
-        raise ScheduleError("accumulate and replay accountings disagree")
-    t_for_r = schedules[0].generic_t if schedules else minimal_transfer_t(minimal_transfer_s(data))
+    level = d
+    while level > d0:
+        if data.elliptic_mode:
+            lo, hi = minimal_d(data), level
+        else:
+            lo, hi = _block(data, math.isqrt(max(2 * level * data.minusK_dot_H - data.chiO, 0)), t)[2:]
+        if not lo <= level <= hi:
+            build_schedule(data, level)  # raises its own ScheduleError
+        level = min(lo, level) - 1
     return DegreeBound(
         d=d,
         d0=d0,
-        total_H_degree=running,
-        steps_counted=steps,
-        steps_per_level=(schedules[0].t + 1) if schedules else 0,
-        steps_quoted=(t_for_r + 2) * (d - d0),
+        total_H_degree=per_level * (d * (d + 1) - d0 * (d0 + 1)) // 2 - (d - d0),
+        steps_counted=per_level * (d - d0),
+        steps_per_level=per_level if d > d0 else 0,
+        steps_quoted=(t + 2) * (d - d0),
     )
 
 

@@ -41,6 +41,7 @@ from sostransfer.lattice import (
     minkowski_sum,
 )
 from sostransfer.numerics import chi_criterion_holds
+from sostransfer.ruled import build_schedule
 from sostransfer.toric import TransferVerdict
 
 
@@ -978,3 +979,21 @@ def counted_nef_threshold(a_squared: int, a_dot_k: int, k_squared: int) -> int:
     while ell * ell * a_squared - 2 * ell * a_dot_k + k_squared - 1 <= 0:
         ell += 1
     return ell
+
+
+def replayed_degree_bound(data, d: int, d0: int) -> tuple[int, int, int]:
+    """(total H-degree, steps counted, steps per level) of the multiplier
+    chain from dH down to d0 H, one schedule per level: ``build_schedule``
+    at every level delta in (d0, d], from d down, so the first level
+    without a schedule raises its ScheduleError.  The total is summed while
+    building (t * delta + delta - 1 per level) and again by replaying the
+    stored ladders' targets; the two must agree."""
+    schedules = []
+    running = steps = 0
+    for delta in range(d, d0, -1):
+        sched = build_schedule(data, delta)
+        schedules.append(sched)
+        running += sched.t * delta + (delta - 1)
+        steps += sched.t + 1
+    assert running == sum(abs(rung[0]) for sched in schedules for rung in sched.ladder[1:])
+    return running, steps, (schedules[0].t + 1) if schedules else 0

@@ -221,6 +221,14 @@ class TestRuled:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
 
+    def test_degree_range_across_a_gap_exits_two(self, capsys):
+        # no degree from 2,285,826,498 to d has a schedule on this data, so
+        # the chain fails at its first level, d
+        data = '{"minusK_dot_H":4,"H_dot_HplusK":4,"chiO":-2,"ell":2}'
+        code, out, err = invoke(capsys, "ruled-bound", "--data", data, "--d", "2285826600", "--d0", "2285826400")
+        assert code == 2 and out == ""
+        assert err.startswith("not applicable:") and "d = 2285826600" in err and "k_190 misses its lower bound" in err
+
     def test_long_degree_range_is_refused(self, capsys):
         start = time.perf_counter()
         code, out, err = invoke(

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
-from conftest import counted_nef_threshold
+from conftest import counted_nef_threshold, replayed_degree_bound
 
 from sostransfer import ruled
 from sostransfer.ruled import (
@@ -21,6 +23,46 @@ from sostransfer.ruled import (
 )
 
 ELLIPTIC = genus_example_data("elliptic_segre")
+G3M1 = RuledData(4, 4, -2, 2)  # canonical_times_line in genus 3, m = 1: t = 190
+G3M2 = RuledData(8, 24, -2, 1)  # the same family with m = 2: t = 615
+
+
+@lru_cache(maxsize=None)
+def has_schedule(data: RuledData, d: int) -> bool:
+    try:
+        build_schedule(data, d)
+    except ScheduleError:
+        return False
+    return True
+
+
+def assert_blocks_match_schedules(data: RuledData, degrees) -> None:
+    """Each degree lies in the isqrt block of its ladder budget, and the
+    block model gives it a schedule exactly when ``build_schedule`` does."""
+    t = minimal_transfer_t(minimal_transfer_s(data))
+    blocks = {}
+    for d in degrees:
+        lam = 2 * d * data.minusK_dot_H - data.chiO
+        r = isqrt(max(lam, 0))
+        if r not in blocks:
+            blocks[r] = ruled._block(data, r, t)
+        start, end, lo, hi = blocks[r]
+        assert lam < 0 or start <= d <= end, (data, d)
+        assert (lo <= d <= hi) == has_schedule(data, d), (data, d, (start, end, lo, hi))
+
+
+def random_generic_corpus(seed: int, size: int) -> list[RuledData]:
+    """Non-elliptic data with s <= 3, cycling through H.(H+K) < 0, = 0 (so
+    chi(O) = 1) and > 0; -K.H up to 20,000, and ell up to 10^6."""
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(size):
+        a = 20_000 if i < 3 else rng.choice((rng.randint(1, 30), rng.randint(1, 20_000)))
+        b = (-2 * rng.randint(1, 3 * a), 0, 2 * rng.randint(1, max(1, (3 * a - 1) // 2)))[i % 3]
+        chi = 1 if b == 0 else rng.randint(-20, 1)
+        ell = rng.choice((0, 1, 2, rng.randint(0, 40), rng.randint(0, 10**6)))
+        corpus.append(RuledData(a, b, chi, ell))
+    return corpus
 
 
 class TestData:
@@ -197,6 +239,68 @@ class TestSchedules:
             build_schedule(data, max(1, d // 4))
 
 
+class TestBlocks:
+    # degrees where schedules start or stop near the minimal degree: on each
+    # data, the first of a window of 11 degrees with schedules, the degree a
+    # search over such windows used to return, a degree past a gap (G3M1
+    # only) and the least degree from which every degree has a schedule
+    THRESHOLDS = [
+        *(pytest.param(G3M1, d, id=f"G3M1-{d}") for d in (2_158_442_105, 2_280_015_392, 2_285_826_498, 2_620_156_050)),
+        *(pytest.param(G3M2, d, id=f"G3M2-{d}") for d in (128_308_672_804, 131_773_356_036, 143_286_853_557)),
+    ]
+
+    @pytest.mark.parametrize("data, threshold", THRESHOLDS)
+    def test_blocks_match_schedules_around_thresholds(self, data, threshold):
+        assert has_schedule(data, threshold - 1) != has_schedule(data, threshold)
+        assert_blocks_match_schedules(data, range(threshold - 3000, threshold + 3001))
+
+    def test_blocks_match_schedules_on_random_data(self):
+        covered = set()
+        for data in random_generic_corpus(1717, 36):
+            t = minimal_transfer_t(minimal_transfer_s(data))
+            r = isqrt(2 * minimal_d(data) * data.minusK_dot_H - data.chiO)
+            degrees = set(range(-3, 40))
+            for block in range(r - 30, r + 3):
+                start, end, lo, hi = ruled._block(data, block, t)
+                degrees.update(d for d in (start, end, lo - 1, lo, hi, hi + 1) if start <= d <= end)
+            assert_blocks_match_schedules(data, sorted(degrees))
+            covered.add((data.H_dot_HplusK > 0) - (data.H_dot_HplusK < 0))
+        assert covered == {-1, 0, 1}
+
+    @pytest.mark.parametrize(
+        "data, expected", [(G3M1, 2_620_156_050), (G3M2, 143_286_853_557), (ELLIPTIC, 5)], ids=("G3M1", "G3M2", "elliptic")
+    )
+    def test_minimal_d_exact(self, data, expected):
+        assert minimal_d(data) == expected
+        assert not has_schedule(data, expected - 1)
+        assert all(has_schedule(data, d) for d in range(expected, expected + 3001))
+
+    def test_minimal_d_on_random_data(self):
+        for data in random_generic_corpus(2929, 24):
+            d = minimal_d(data)
+            assert not has_schedule(data, d - 1), data
+            assert all(has_schedule(data, x) for x in range(d, d + 20)), data
+
+    def test_minimal_d_elliptic_closed_form(self):
+        for a in range(1, 13):
+            for chi in range(-10, 1):
+                for ell in range(6):
+                    data = RuledData(a, 0, chi, ell)
+                    d = minimal_d(data)
+                    assert not has_schedule(data, d - 1)
+                    assert all(has_schedule(data, x) for x in range(d, d + 30))
+
+    def test_minimal_d_scan_budget(self, monkeypatch):
+        # -K.H this large puts r_C4 above 4t^2 + 2t, so the scan reads 17
+        # blocks of t = 82 ladder steps
+        data = RuledData(20_000, 0, 1, 3)
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 17 * 82)
+        assert minimal_d(data) == 995_535
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 17 * 82 - 1)
+        with pytest.raises(RuledDataError, match="budget"):
+            minimal_d(data)
+
+
 class TestDegreeBound:
     def test_empty_chain(self):
         assert multiplier_degree_bound(ELLIPTIC, 5, 5).total_H_degree == 0
@@ -234,3 +338,64 @@ class TestDegreeBound:
     def test_rejects_base_below_minimal(self):
         with pytest.raises(ScheduleError):
             multiplier_degree_bound(ELLIPTIC, 10, 3)
+
+    @staticmethod
+    def bound_or_error(data, d, d0):
+        try:
+            bound = multiplier_degree_bound(data, d, d0)
+        except ScheduleError as exc:
+            return str(exc)
+        return bound.total_H_degree, bound.steps_counted, bound.steps_per_level
+
+    @staticmethod
+    def replayed_or_error(data, d, d0):
+        try:
+            return replayed_degree_bound(data, d, d0)
+        except ScheduleError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "data, d, d0",
+        [
+            (G3M1, 2_158_442_115, 2_158_442_104),  # d0 itself has no schedule
+            (G3M1, 2_280_015_452, 2_280_015_392),
+            (G3M2, 131_773_356_076, 131_773_356_036),
+            (G3M2, 143_286_853_600, 143_286_853_556),
+            (ELLIPTIC, 40, 4),
+        ],
+    )
+    def test_matches_replay_below_minimal_d(self, data, d, d0):
+        assert d0 < minimal_d(data)
+        got = self.bound_or_error(data, d, d0)
+        assert isinstance(got, tuple) and got == replayed_degree_bound(data, d, d0)
+
+    @pytest.mark.parametrize(
+        "data, d, d0, first_failing",
+        [
+            (G3M1, 2_285_826_600, 2_285_826_400, 2_285_826_600),
+            (G3M1, 2_158_442_110, 2_158_442_100, 2_158_442_104),
+            (G3M1, 2_620_156_060, 2_620_156_040, 2_620_156_049),
+            (G3M2, 143_286_853_560, 143_286_853_550, 143_286_853_556),
+            (ELLIPTIC, 10, 3, 4),
+        ],
+    )
+    def test_gap_raises_at_its_first_failing_level(self, data, d, d0, first_failing):
+        message = self.bound_or_error(data, d, d0)
+        assert message == self.replayed_or_error(data, d, d0)
+        with pytest.raises(ScheduleError) as exc:
+            build_schedule(data, first_failing)
+        assert message == str(exc.value)
+        assert has_schedule(data, first_failing + 1) or first_failing == d
+
+    def test_matches_replay_on_random_ranges(self):
+        rng = random.Random(3131)
+        raised = 0
+        for data in random_generic_corpus(3131, 30):
+            top = minimal_d(data)
+            for _ in range(4):
+                d = rng.randint(max(1, top // 2), top + 100)
+                d0 = d - rng.randint(0, 60)
+                got = self.bound_or_error(data, d, d0)
+                assert got == self.replayed_or_error(data, d, d0), (data, d, d0)
+                raised += isinstance(got, str)
+        assert 0 < raised < 120
