@@ -13,13 +13,10 @@ from .lattice import (
     LatticePolygon,
     TranslateContainmentError,
     contains_lattice_translate,
-    convex_hull,
     difference_components,
     dilate,
-    interior_lattice_point_count,
     is_lawrence_prism,
     is_twice_unit_triangle,
-    lattice_point_count,
     minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,

@@ -13,10 +13,13 @@ Counts of a Minkowski sum never need the sum itself: twice the area of
 P + Q is twice the areas of P and Q plus twice their mixed area, its
 boundary count is the sum of theirs, and Pick's theorem turns the two into
 ``minkowski_lattice_point_count``.  The transfer criterion counts P + Q
-that way, and ``reduced_component_total`` counts P + (-Q) from the support
-values it already reads.  The candidate polygons (``rectangle``,
-``wide_prism``, ``veronese_triangle``) are built once per process, in
-bounded caches, so the invariants they cache are computed once too.
+that way, and so does ``reduced_component_total``: in its closed form the
+mixed area of P with -Q cancels, which leaves h = #L(P + Q) + N_in - A2(P)
+- A2(Q) - B(Q) - 2 for the N_in translates of Q inside int P, and a
+criterion margin of A2(Q) - A2(P) + B(P) + B(Q) - 1 + N_in, with no mixed
+area at all.  The candidate polygons (``rectangle``, ``wide_prism``,
+``veronese_triangle``) are built once per process, in bounded caches, so
+the invariants they cache are computed once too.
 """
 
 from __future__ import annotations
@@ -294,14 +297,6 @@ class ComponentCount:
 # -- public operations -------------------------------------------------------
 
 
-def convex_hull(points: Iterable) -> LatticePolygon:
-    """Canonical CCW convex hull of a nonempty set of lattice points."""
-    pts = list(points)
-    if not pts:
-        raise EmptyPointSetError("empty point set")
-    return LatticePolygon(pts)
-
-
 def dilate(poly: LatticePolygon, k: int) -> LatticePolygon:
     """The dilation kP for k >= 0; k = 0 collapses to the origin."""
     if k < 0:
@@ -387,14 +382,6 @@ def minkowski_lattice_point_count(p: LatticePolygon, q: LatticePolygon) -> int:
     mixed = sum(max((b.y - a.y) * v.x - (b.x - a.x) * v.y for v in p.vertices) for a, b in q.edges)
     twice_area = p.twice_area + q.twice_area + 2 * mixed
     return (twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count) // 2 + 1
-
-
-def lattice_point_count(poly: LatticePolygon) -> int:
-    return poly.lattice_point_count
-
-
-def interior_lattice_point_count(poly: LatticePolygon) -> int:
-    return poly.interior_lattice_point_count
 
 
 #: Rows that one row scan (``_row_intervals``) visits at most.  The scan is
@@ -513,11 +500,9 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     Q.  A zone P + (-Q) of more than ``MAX_SWEEP_ROWS`` rows is refused.
     Then h has a closed form:
 
-        h = sum_i g_i (w_i + 1) - #L(P + (-Q)) + #{m : Q + m inside int P},
+        h = #L(P + Q) + #{m : Q + m inside int P} - A2(P) - A2(Q) - B(Q) - 2,
 
-    where edge e_i = [v_i, v_(i+1)] of P has lattice length g_i and
-    primitive normal n_i, and w_i = max - min of n_i.w over the vertices w
-    of Q.
+    for twice the areas A2 and the boundary counts B.
 
     Proof.  By the hypothesis Q' = Q + m never contains P, so the covered
     set is a closed proper subset of the circle bounding P, and each of its
@@ -531,20 +516,30 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
 
     Over all m, e_i meets Q + m for the m in e_i + (-Q) and v_i lies in
     Q + m for the m in v_i - Q, so the sum of blocks(m) is
-    sum_i (#L(e_i + (-Q)) - #L(Q)).  Adding the segment e_i to -Q adds
-    2 g_i w_i to twice its area and 2 g_i to its boundary count, so by Pick's
-    theorem #L(e_i + (-Q)) - #L(Q) = g_i (w_i + 1).  Finally blocks(m) >= 1 exactly
-    when Q + m meets the boundary of P, that is for the m of the zone
-    P + (-Q) except those with Q + m inside the interior of P (a translate
-    that meets P but not its boundary lies in the interior), so h is the
-    sum of the blocks minus that many translates.
+    sum_i (#L(e_i + (-Q)) - #L(Q)).  Let edge e_i = [v_i, v_(i+1)] of P
+    have lattice length g_i and primitive outward normal n_i, and let w_i
+    = max - min of n_i.w over the vertices w of Q.  Adding the segment e_i
+    to -Q adds 2 g_i w_i to twice its area and 2 g_i to its boundary count,
+    so by Pick's theorem #L(e_i + (-Q)) - #L(Q) = g_i (w_i + 1).  Finally
+    blocks(m) >= 1 exactly when Q + m meets the boundary of P, that is for
+    the m of the zone P + (-Q) except those with Q + m inside the interior
+    of P (a translate that meets P but not its boundary lies in the
+    interior), so
 
-    #L(P + (-Q)) comes from areas and boundary counts by Pick's theorem, as
-    in ``minkowski_lattice_point_count``, with the mixed term read off the
-    same support values: the support of -Q in the outward normal of e_i,
-    scaled by e_i, is g_i max_w n_i.w, and the mixed term sums it over the
-    edges of P.  The zone is never built.  The last
-    count scans the rows of the box where the translates of Q strictly fit
+        h = sum_i g_i (w_i + 1) - #L(P + (-Q)) + #{m : Q + m inside int P}.
+
+    The two mixed areas in it cancel.  Write M- = sum_i g_i max_w (-n_i.w)
+    and M+ = sum_i g_i max_w n_i.w for the mixed terms of P with -Q and
+    with Q, so that w_i splits into the two maxima and, by Pick's theorem
+    as in ``minkowski_lattice_point_count``,
+
+        sum_i g_i (w_i + 1) = M- + M+ + B(P),
+        #L(P + (-Q)) = (A2(P) + A2(Q) + B(P) + B(Q))/2 + M- + 1,
+        #L(P + Q) = (A2(P) + A2(Q) + B(P) + B(Q))/2 + M+ + 1.
+
+    Subtracting the second line from the first and putting M+ from the
+    third gives the closed form.  Neither sum is built.  The last count
+    scans the rows of the box where the translates of Q strictly fit
     inside P's bounding box, one exact interval of mx per row: Q + m lies
     inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every inward
     halfplane n_j.x >= c_j of P.
@@ -558,19 +553,9 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
         raise LatticeGeometryError(f"P + (-Q) spans {rows} rows, more than the {MAX_SWEEP_ROWS} a row scan may visit")
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
-    covered = 0  # the sum of blocks(m) over all m
-    mixed = 0  # the mixed area term of P and -Q
-    for a, b in p.edges:
-        g = gcd(b.x - a.x, b.y - a.y)
-        ux, uy = (b.x - a.x) // g, (b.y - a.y) // g
-        values = [ux * w.y - uy * w.x for w in q.vertices]
-        covered += g * (max(values) - min(values) + 1)
-        mixed += g * max(values)
-    twice_area = p.twice_area + q.twice_area + 2 * mixed
-    zone = (twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count) // 2 + 1
     box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
     inside = sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
-    return covered - zone + inside
+    return minkowski_lattice_point_count(p, q) + inside - p.twice_area - q.twice_area - q.boundary_lattice_point_count - 2
 
 
 def standard_prism(h1: int, h2: int) -> LatticePolygon:

@@ -118,7 +118,7 @@ def exceptional_margin(data: RuledData, d: int, m: int, k: int) -> int:
     if m < 0:
         raise ScheduleError("m must be nonnegative")
     if d < 2 * m + k + data.ell:
-        raise ScheduleError("degree too small")
+        raise ScheduleError(f"degree too small: d = {d} is below 2m + k + ell = {2 * m + k + data.ell}")
     return 2 * d * data.minusK_dot_H - (2 * m + k) * (k + 1) - data.chiO
 
 
@@ -127,7 +127,7 @@ def descent_margin(data: RuledData, d: int, m: int) -> int:
     if m < 0:
         raise ScheduleError("m must be nonnegative")
     if d < 2 * m + data.ell:
-        raise ScheduleError("degree too small")
+        raise ScheduleError(f"degree too small: d = {d} is below 2m + ell = {2 * m + data.ell}")
     return (1 - 2 * d) * data.H_dot_HplusK + m * (m - 1) - data.chiO
 
 

@@ -111,6 +111,12 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     2 A2(Q) + B(Q) + 1 for twice the area A2(Q) and the boundary count B(Q),
     and #int(P + Q) is #L(P + Q) - B(P) - B(Q), with #L(P + Q) from the
     mixed area; neither 2Q nor P + Q is built.
+
+    The margin count(2Q) + h - #int(P + Q) holds no mixed area at all.
+    ``reduced_component_total`` gives h = #L(P + Q) + N_in - A2(P) - A2(Q)
+    - B(Q) - 2 for N_in = #{m : Q + m inside int P}, and #L(P + Q) cancels:
+
+        margin = A2(Q) - A2(P) + B(P) + B(Q) - 1 + N_in.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("the criterion needs full-dimensional polygons")
@@ -287,12 +293,14 @@ def _closing_candidates(dmax: int) -> list[LatticePolygon]:
 def _pipeline_step(d: int, m: int) -> PlanStep:
     """The corner-biting pipeline's step from the trapezoid state T(d, m).
 
-    Bites take the largest corner cut whose geometric check passes (probed a
-    little above the h-free closed-form bound); degree drops go three at a
-    time while the cut lasts; once the degree is small a direct step onto a
-    prism or twice the unit triangle closes the chain.  Steps are memoized
-    per state in a bounded LRU, so the chains of nearby degrees share their
-    tails.
+    A bite probes corner cuts downward from ``_BITE_PROBE_SLACK`` above the
+    largest cut with a positive h-free margin (at most d - 1) and takes the
+    first whose check passes.  A bite's margin is m² - m2² + 6d - m - m2 - 1,
+    so a larger cut can pass above the probe window: T(52, 0) bites to 16
+    where 17 passes too.  Degree drops go three at a time while the cut
+    lasts; once the degree is small a direct step onto a prism or twice the
+    unit triangle closes the chain.  Steps are memoized per state in a
+    bounded LRU, so the chains of nearby degrees share their tails.
     """
     cur = trapezoid(d, m)
     if d <= _CLOSE_AT_OR_BELOW:

@@ -22,8 +22,6 @@ from sostransfer.lattice import (
     contains_lattice_translate,
     dilate,
     difference_components,
-    interior_lattice_point_count,
-    lattice_point_count,
     minkowski_sum,
     rectangle,
     reduced_component_total,
@@ -118,8 +116,8 @@ def test_c05_asymptotic_ternary_bound():
         plan, total = improved_ternary_bound(d)
         for step in plan.steps:
             h = reduced_component_total(step.p, step.q)
-            count = lattice_point_count(dilate(step.q, 2))
-            interior = interior_lattice_point_count(minkowski_sum(step.p, step.q))
+            count = dilate(step.q, 2).lattice_point_count
+            interior = minkowski_sum(step.p, step.q).interior_lattice_point_count
             assert (count, h, interior) == (
                 step.verdict.count_2Q,
                 step.verdict.h,
@@ -244,8 +242,8 @@ def test_c11_cross_module_consistency():
         verdict = transfer_check(p, q)
         total = minkowski_sum(p, q)
         cohomology = CohomologyInput(
-            h0_DplusE=lattice_point_count(total),
-            h0_2Dplus2E=lattice_point_count(dilate(total, 2)),
+            h0_DplusE=total.lattice_point_count,
+            h0_2Dplus2E=dilate(total, 2).lattice_point_count,
             h0_2E=verdict.count_2Q,
             h1_EminusD=verdict.h,
         )

@@ -178,6 +178,12 @@ class TestRuled:
         code, _, err = invoke(capsys, "ruled-schedule", "--elliptic", "--d", "3")
         assert code == 2
 
+    def test_degree_range_below_the_bound_names_it(self, capsys):
+        # level 4 is the chain's first without a schedule: it is below 2m + ell = 5
+        code, out, err = invoke(capsys, "ruled-bound", "--elliptic", "--d", "10", "--d0", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("not applicable:") and "d = 4" in err and "= 5" in err
+
     def test_bound(self, capsys):
         code, out, _ = invoke(
             capsys, "ruled-bound", "--elliptic", "--d", "10", "--d0", "5", "--json"

@@ -16,13 +16,10 @@ from sostransfer.lattice import (
     LatticePolygon,
     TranslateContainmentError,
     contains_lattice_translate,
-    convex_hull,
     difference_components,
     dilate,
-    interior_lattice_point_count,
     is_lawrence_prism,
     is_twice_unit_triangle,
-    lattice_point_count,
     minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
@@ -56,31 +53,31 @@ FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
 
 class TestConvexHull:
     def test_point_on_edge_is_dropped(self):
-        poly = convex_hull([(0, 0), (2, 0), (0, 2), (1, 1)])
+        poly = LatticePolygon([(0, 0), (2, 0), (0, 2), (1, 1)])
         assert poly.vertices == (LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 2))
 
     def test_single_point(self):
-        poly = convex_hull([(0, 0)])
+        poly = LatticePolygon([(0, 0)])
         assert poly.dim == 0 and poly.vertices == (LatticePoint(0, 0),)
 
     def test_quadrilateral_keeps_all_vertices(self):
-        poly = convex_hull([(0, 0), (3, 0), (2, 1), (0, 1)])
+        poly = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
         assert len(poly.vertices) == 4
 
     def test_empty_input(self):
-        with pytest.raises(EmptyPointSetError):
-            convex_hull([])
+        with pytest.raises(EmptyPointSetError, match="empty point set"):
+            LatticePolygon([])
 
     def test_idempotent_on_canonical(self):
-        poly = convex_hull([(0, 0), (3, 0), (2, 1), (0, 1)])
-        assert convex_hull(poly.vertices) == poly
+        poly = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
+        assert LatticePolygon(poly.vertices) == poly
 
     def test_rejects_non_integers(self):
         with pytest.raises(LatticeGeometryError):
-            convex_hull([(0, 0), (0.5, 0)])
+            LatticePolygon([(0, 0), (0.5, 0)])
 
     def test_collinear_input_gives_segment(self):
-        poly = convex_hull([(0, 0), (1, 1), (3, 3)])
+        poly = LatticePolygon([(0, 0), (1, 1), (3, 3)])
         assert poly.dim == 1 and poly.vertices == (LatticePoint(0, 0), LatticePoint(3, 3))
 
 
@@ -110,8 +107,8 @@ class TestMinkowskiSum:
         total = minkowski_sum(veronese_triangle(5), FIGURE_PRISM)
         assert total == LatticePolygon([(0, 0), (8, 0), (2, 6), (0, 6)])
         # pinned counts for this region: interior 20, boundary 22
-        assert lattice_point_count(total) == 42
-        assert interior_lattice_point_count(total) == 20
+        assert total.lattice_point_count == 42
+        assert total.interior_lattice_point_count == 20
 
     def test_commutative(self):
         a, b = veronese_triangle(3), FIGURE_PRISM
@@ -120,23 +117,23 @@ class TestMinkowskiSum:
 
 class TestCounting:
     def test_square_counts(self):
-        assert lattice_point_count(rectangle(2, 2)) == 9
-        assert interior_lattice_point_count(rectangle(3, 3)) == 4
+        assert rectangle(2, 2).lattice_point_count == 9
+        assert rectangle(3, 3).interior_lattice_point_count == 4
 
     def test_doubled_prism_count(self):
-        assert lattice_point_count(dilate(FIGURE_PRISM, 2)) == 18
+        assert dilate(FIGURE_PRISM, 2).lattice_point_count == 18
 
     def test_segment_count(self):
         seg = LatticePolygon([(0, 0), (3, 0)])
-        assert lattice_point_count(seg) == 4
-        assert interior_lattice_point_count(seg) == 0
+        assert seg.lattice_point_count == 4
+        assert seg.interior_lattice_point_count == 0
 
     def test_trapezoid_interior(self):
         total = minkowski_sum(veronese_triangle(5), FIGURE_PRISM)
-        assert interior_lattice_point_count(total) == 20
+        assert total.interior_lattice_point_count == 20
 
     def test_unit_triangle_interior(self):
-        assert interior_lattice_point_count(veronese_triangle(1)) == 0
+        assert veronese_triangle(1).interior_lattice_point_count == 0
 
 
 class TestTranslateSearch:
@@ -493,10 +490,10 @@ class TestDerivedPolygons:
         for _ in range(2000):
             p, q = draw(), draw()
             assert minkowski_sum(p, q).vertices == hull_minkowski_sum(p, q).vertices, (p, q)
-            assert p.reflect().vertices == convex_hull([-v for v in p.vertices]).vertices, p
+            assert p.reflect().vertices == LatticePolygon([-v for v in p.vertices]).vertices, p
             assert p.reflect() is p.reflect()
             k = rng.randint(0, 4)
-            assert dilate(p, k).vertices == convex_hull([v.scaled(k) for v in p.vertices]).vertices, (p, k)
+            assert dilate(p, k).vertices == LatticePolygon([v.scaled(k) for v in p.vertices]).vertices, (p, k)
 
 
 class TestMinkowskiCounts:

@@ -11,7 +11,6 @@ from sostransfer.lattice import (
     LatticePolygon,
     TranslateContainmentError,
     dilate,
-    lattice_point_count,
     rectangle,
     veronese_triangle,
     wide_prism,
@@ -163,11 +162,11 @@ class TestTrapezoid:
     def test_count_formula(self):
         for d in range(1, 9):
             for m in range(0, d):
-                assert lattice_point_count(dilate(trapezoid(d, m), 2)) == trapezoid_count_2q(d, m)
+                assert dilate(trapezoid(d, m), 2).lattice_point_count == trapezoid_count_2q(d, m)
 
     def test_specific_count(self):
         assert trapezoid_count_2q(5, 2) == 56
-        assert lattice_point_count(dilate(trapezoid(5, 2), 2)) == 56
+        assert dilate(trapezoid(5, 2), 2).lattice_point_count == 56
 
     def test_rejects_bad_cut(self):
         with pytest.raises(ToricTransferError):
@@ -270,6 +269,15 @@ class TestImprovedPipeline:
     def test_rejects_small_degree(self):
         with pytest.raises(ToricTransferError):
             improved_ternary_bound(4)
+
+    def test_bite_margin_closed_form(self):
+        # no translate of T(d, m2) fits inside int T(d, m), so the margin is
+        # A2(Q) - A2(P) + B(P) + B(Q) - 1, with A2 = d² - m² and B = 3d - m
+        for d in range(2, 61):
+            for m in range(min(3, d)):
+                for m2 in range(m + 1, d):
+                    verdict = transfer_check(trapezoid(d, m), trapezoid(d, m2))
+                    assert verdict.margin == m * m - m2 * m2 + 6 * d - m - m2 - 1, (d, m, m2)
 
 
 class TestPlanGolden:
