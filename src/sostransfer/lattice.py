@@ -6,8 +6,9 @@ one exact interval per row (at most ``MAX_SWEEP_ROWS`` rows per scan), the
 component count of a set difference ``P \\ Q'`` by one covered-arc rule
 (edges of P meeting Q' minus vertices of P inside it) and the closed-form
 total of that count over all translates, which feeds the toric transfer
-criterion, and the terminal tests (Lawrence prism, twice a unimodular
-triangle) as lattice invariants.  Every comparison is exact.
+criterion and scans the rows of at most one box, and the terminal tests
+(Lawrence prism, twice a unimodular triangle) as lattice invariants.  Every
+comparison is exact.
 
 Counts of a Minkowski sum never need the sum itself: twice the area of
 P + Q is twice the areas of P and Q plus twice their mixed area, its
@@ -386,8 +387,7 @@ def minkowski_lattice_point_count(p: LatticePolygon, q: LatticePolygon) -> int:
 
 #: Rows that one row scan (``_row_intervals``) visits at most.  The scan is
 #: linear in the rows of its box, so a taller box is refused instead of
-#: scanned.  ``reduced_component_total`` refuses a zone P + (-Q) of more rows
-#: up front, since neither of its boxes has more rows than the zone.
+#: scanned; an empty box costs nothing, whatever its height.
 MAX_SWEEP_ROWS = 1_000_000
 
 
@@ -423,8 +423,9 @@ def _row_intervals(
     halfplane n.x >= c of bound (both sides of the line when bound is a
     segment).  That is nx*mx >= c + slack - min_w n.w - ny*my, one bound
     per halfplane on each row.  A horizontal halfplane (nx = 0) only bounds
-    my, which the box must already do, so it is skipped.  A nonempty box of
-    more than ``MAX_SWEEP_ROWS`` rows is refused before any row is scanned.
+    my, which the box must already do, so it is skipped.  An empty box
+    yields nothing at once; a nonempty box of more than ``MAX_SWEEP_ROWS``
+    rows is refused before any row is scanned.
     """
     mx_lo, my_lo, mx_hi, my_hi = box
     if mx_lo > mx_hi or my_lo > my_hi:
@@ -497,8 +498,7 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     ``difference_components``).
 
     Requires the transfer hypothesis: no lattice translate of P fits inside
-    Q.  A zone P + (-Q) of more than ``MAX_SWEEP_ROWS`` rows is refused.
-    Then h has a closed form:
+    Q.  Then h has a closed form:
 
         h = #L(P + Q) + #{m : Q + m inside int P} - A2(P) - A2(Q) - B(Q) - 2,
 
@@ -543,16 +543,19 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     inside P's bounding box, one exact interval of mx per row: Q + m lies
     inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every inward
     halfplane n_j.x >= c_j of P.
+
+    Of the two row scans at most one has rows: the containment box has rows
+    only when Q is at least as tall as P, and the inside box only when P is
+    at least two rows taller than Q.  So a tall pair costs nothing unless
+    that one box is tall, and only a box of more than ``MAX_SWEEP_ROWS``
+    rows is refused.
     """
     if p.dim != 2 or q.dim != 2:
         raise DegeneratePolygonError("component totals need full-dimensional polygons")
-    pxmin, pymin, pxmax, pymax = p.bounding_box
-    qxmin, qymin, qxmax, qymax = q.bounding_box
-    rows = pymax - pymin + qymax - qymin + 1  # the zone's rows
-    if rows > MAX_SWEEP_ROWS:
-        raise LatticeGeometryError(f"P + (-Q) spans {rows} rows, more than the {MAX_SWEEP_ROWS} a row scan may visit")
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
+    pxmin, pymin, pxmax, pymax = p.bounding_box
+    qxmin, qymin, qxmax, qymax = q.bounding_box
     box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
     inside = sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
     return minkowski_lattice_point_count(p, q) + inside - p.twice_area - q.twice_area - q.boundary_lattice_point_count - 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 from .lattice import (
@@ -164,17 +164,6 @@ def trapezoid(d: int, m: int) -> LatticePolygon:
     return LatticePolygon([(0, 0), (d, 0), (m, d - m), (0, d - m)])
 
 
-def trapezoid_count_2q(d: int, m: int) -> int:
-    """Closed-form lattice count of 2*T(d, m)."""
-    return _binom2(2 * d + 2) - _binom2(2 * m + 1)
-
-
-def _trapezoid_pair_margin0(d1: int, m1: int, d2: int, m2: int) -> int:
-    """Criterion margin for T(d1,m1) vs T(d2,m2) with h ignored (a lower bound)."""
-    interior = _binom2(d1 + d2 - 1) - _binom2(m1 + m2)
-    return trapezoid_count_2q(d2, m2) - interior
-
-
 # -- degree functional ---------------------------------------------------------
 
 
@@ -267,7 +256,7 @@ def hilbert_classic_plan(d: int) -> TransferPlan:
 # -- improved ternary pipeline -------------------------------------------------
 
 _CLOSE_AT_OR_BELOW = 5
-_BITE_PROBE_SLACK = 3
+
 
 def _closing_candidates(dmax: int) -> list[LatticePolygon]:
     """Terminal polygons worth trying from a trapezoid of degree dmax,
@@ -293,14 +282,15 @@ def _closing_candidates(dmax: int) -> list[LatticePolygon]:
 def _pipeline_step(d: int, m: int) -> PlanStep:
     """The corner-biting pipeline's step from the trapezoid state T(d, m).
 
-    A bite probes corner cuts downward from ``_BITE_PROBE_SLACK`` above the
-    largest cut with a positive h-free margin (at most d - 1) and takes the
-    first whose check passes.  A bite's margin is m² - m2² + 6d - m - m2 - 1,
-    so a larger cut can pass above the probe window: T(52, 0) bites to 16
-    where 17 passes too.  Degree drops go three at a time while the cut
-    lasts; once the degree is small a direct step onto a prism or twice the
-    unit triangle closes the chain.  Steps are memoized per state in a
-    bounded LRU, so the chains of nearby degrees share their tails.
+    While the cut is small (m < 3) the step bites the corner down to the
+    largest cut m2 <= d - 1 with a positive margin.  No translate of
+    T(d, m2) fits inside int T(d, m), since its base holds d + 1 lattice
+    points and no row of the interior more than d - 1, so the margin is
+    m² - m2² + 6d - m - m2 - 1: positive exactly while m2 (m2 + 1) <=
+    m² - m + 6d - 2.  Degree drops go three at a time while the cut lasts;
+    once the degree is small a direct step onto a prism or twice the unit
+    triangle closes the chain.  Steps are memoized per state in a bounded
+    LRU, so the chains of nearby degrees share their tails.
     """
     cur = trapezoid(d, m)
     if d <= _CLOSE_AT_OR_BELOW:
@@ -312,20 +302,14 @@ def _pipeline_step(d: int, m: int) -> PlanStep:
             if verdict.holds:
                 return PlanStep(cur, cand, verdict, note="close")
     if m < 3:
-        m_formula = m
-        for m2 in range(m + 1, d):
-            if _trapezoid_pair_margin0(d, m, d, m2) > 0:
-                m_formula = m2
-        for m2 in range(min(d - 1, m_formula + _BITE_PROBE_SLACK), m, -1):
-            verdict = transfer_check(cur, trapezoid(d, m2))
-            if verdict.holds:
-                return PlanStep(cur, trapezoid(d, m2), verdict, note="bite")
-        raise PipelineStepError(f"no corner bite passes at T({d},{m})", cur)
-    q = trapezoid(d - 3, m - 3)
+        q = trapezoid(d, min(d - 1, (isqrt(4 * (m * m - m + 6 * d - 2) + 1) - 1) // 2))
+        note, failure = "bite", "no corner bite passes"
+    else:
+        q, note, failure = trapezoid(d - 3, m - 3), "reduce", "degree-drop step failed"
     verdict = transfer_check(cur, q)
     if not verdict.holds:
-        raise PipelineStepError(f"degree-drop step failed at T({d},{m})", cur, q, verdict)
-    return PlanStep(cur, q, verdict, note="reduce")
+        raise PipelineStepError(f"{failure} at T({d},{m})", cur, q, verdict)
+    return PlanStep(cur, q, verdict, note=note)
 
 
 def _trapezoid_step(cur: LatticePolygon) -> PlanStep:

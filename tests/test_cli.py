@@ -7,6 +7,7 @@ from sostransfer.cli import run
 
 SQUARE2 = '{"vertices":[[0,0],[2,0],[2,2],[0,2]]}'
 SQUARE1 = '{"vertices":[[0,0],[1,0],[1,1],[0,1]]}'
+DELTA2 = '{"vertices":[[0,0],[2,0],[0,2]]}'
 
 
 def invoke(capsys, *argv):
@@ -27,13 +28,22 @@ class TestToricCheck:
         assert "translate containment" in err
 
     def test_too_tall_exits_one(self, capsys):
-        tall = '{"vertices":[[0,0],[1,0],[0,1000000000000]]}'
-        delta2 = '{"vertices":[[0,0],[2,0],[0,2]]}'
+        # 2Δ fits inside the tall triangle on more rows than a scan may visit
+        tall = '{"vertices":[[0,0],[10,0],[0,10000000]]}'
         start = time.perf_counter()
-        code, out, err = invoke(capsys, "toric-check", "--p", tall, "--q", delta2)
+        code, out, err = invoke(capsys, "toric-check", "--p", tall, "--q", DELTA2)
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert "rows" in err
+
+    def test_tall_without_rows_to_scan_is_answered(self, capsys):
+        # 2Δ fits inside no translate of a width-1 triangle: h has no row to scan
+        tall = '{"vertices":[[0,0],[1,0],[0,1000000000000]]}'
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "toric-check", "--p", tall, "--q", DELTA2, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.strip() == '{"count2q":15,"h":1999999999995,"interior":1999999999999,"holds":true,"margin":11}'
 
     def test_inline_array_is_read_as_json(self, capsys):
         code, out, err = invoke(capsys, "toric-check", "--p", "[[0,0],[1,0],[0,1]]", "--q", SQUARE1)

@@ -29,7 +29,6 @@ from sostransfer.toric import (
     plan_transfer,
     transfer_check,
     trapezoid,
-    trapezoid_count_2q,
     veronese_step_counts,
 )
 
@@ -79,17 +78,36 @@ class TestTransferCheck:
         assert time.perf_counter() - start < 1.0
         assert v.h == 2 * n - 5
 
-    def test_tall_polygon_is_refused_up_front(self):
-        # P + (-2Δ) has n + 3 rows; past the row budget the sweep is refused.
+    def test_tall_polygon_is_answered_exactly(self):
+        # P + (-2Δ) has n + 3 rows, but no translate of 2Δ fits in a width-1
+        # P, so neither row scan of h has a row to visit
         q = veronese_triangle(2)
         for n in (MAX_SWEEP_ROWS - 2, 10**12):
             p = LatticePolygon([(0, 0), (1, 0), (0, n)])
             start = time.perf_counter()
-            with pytest.raises(LatticeGeometryError, match="rows"):
-                transfer_check(p, q)
+            assert transfer_check(p, q).h == 2 * n - 5
             assert time.perf_counter() - start < 1.0
-        p = LatticePolygon([(0, 0), (1, 0), (0, 30)])
-        assert transfer_check(p, q).h == brute_force_component_total(p, q)
+        for n in (10, 30, 40):
+            p = LatticePolygon([(0, 0), (1, 0), (0, n)])
+            assert transfer_check(p, q).h == brute_force_component_total(p, q) == 2 * n - 5
+
+    def test_tall_inside_box_is_refused(self):
+        # translates of 2Δ fit inside the width-10 P on 10⁷ - 3 rows, past
+        # the row budget: the inside scan is refused before its first row
+        p = LatticePolygon([(0, 0), (10, 0), (0, 10**7)])
+        with pytest.raises(LatticeGeometryError, match="translate box spans 9999997 rows"):
+            transfer_check(p, veronese_triangle(2))
+
+    def test_tall_pair_of_near_heights_is_answered_exactly(self):
+        # P + (-Q) spans 2n rows, but Q is one row shorter than P: neither a
+        # translate of P inside Q nor of Q inside int P has a row to scan
+        def pair(n):
+            return LatticePolygon([(0, 0), (2, 0), (0, n)]), LatticePolygon([(0, 0), (1, 0), (0, n - 1)])
+
+        v = transfer_check(*pair(10**7))
+        assert (v.h, v.margin, v.holds) == (4_999_999, 10_000_003, True)
+        for n in (20, 30):
+            assert transfer_check(*pair(n)) == built_polygon_verdict(*pair(n))
 
 
 class TestTransferCheckOracle:
@@ -159,13 +177,7 @@ class TestTrapezoid:
     def test_figure_region(self):
         assert trapezoid(8, 2) == LatticePolygon([(0, 0), (8, 0), (2, 6), (0, 6)])
 
-    def test_count_formula(self):
-        for d in range(1, 9):
-            for m in range(0, d):
-                assert dilate(trapezoid(d, m), 2).lattice_point_count == trapezoid_count_2q(d, m)
-
     def test_specific_count(self):
-        assert trapezoid_count_2q(5, 2) == 56
         assert dilate(trapezoid(5, 2), 2).lattice_point_count == 56
 
     def test_rejects_bad_cut(self):
@@ -279,6 +291,18 @@ class TestImprovedPipeline:
                     verdict = transfer_check(trapezoid(d, m), trapezoid(d, m2))
                     assert verdict.margin == m * m - m2 * m2 + 6 * d - m - m2 - 1, (d, m, m2)
 
+    def test_bite_is_the_largest_passing_cut(self):
+        # the pipeline's bite from T(d, m) passes, and the next larger cut
+        # fails unless the bite already leaves a single row
+        for d in range(6, 61):
+            for m in range(3):
+                step = toric._pipeline_step(d, m)
+                m2 = d - step.q.bounding_box[3]
+                assert step.note == "bite" and step.q == trapezoid(d, m2)
+                assert transfer_check(trapezoid(d, m), trapezoid(d, m2)).holds, (d, m)
+                if m2 < d - 1:
+                    assert not transfer_check(trapezoid(d, m), trapezoid(d, m2 + 1)).holds, (d, m)
+
 
 class TestPlanGolden:
     def test_plans_unchanged(self):
@@ -296,6 +320,11 @@ class TestPlanGolden:
         assert hashlib.sha1(out.encode()).hexdigest() == "09c40f338b6ddbfc7a866f9d18ca4cf5ae7529af"
 
 
+def improved_plans_sha1(degrees):
+    table = [[plan_to_json_dict(plan), total] for plan, total in map(improved_ternary_bound, degrees)]
+    return hashlib.sha1(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
+
+
 class TestPipelineGolden:
     # sha1 of the plan JSON, computed before the three chain loops became
     # step rules of one descent loop
@@ -304,9 +333,12 @@ class TestPipelineGolden:
         assert hashlib.sha1(out.encode()).hexdigest() == "e9740b090896b5590ae90f7f6d4537f4008e73cb"
 
     def test_improved_plans_unchanged(self):
-        table = [[plan_to_json_dict(plan), total] for plan, total in map(improved_ternary_bound, range(5, 61))]
-        out = json.dumps(table, separators=(",", ":"))
-        assert hashlib.sha1(out.encode()).hexdigest() == "336a970900c7ed892031b4dccc8aa9838097f6ad"
+        assert improved_plans_sha1(range(5, 52)) == "214b706a2495d9337e39f55b3de263d5ba875100"
+
+    def test_improved_plans_take_the_largest_bite(self):
+        # sha1 of the plans of d = 52..60, whose first bites are the largest
+        # passing cuts of test_bite_is_the_largest_passing_cut
+        assert improved_plans_sha1(range(52, 61)) == "ae6bffadb66b81c7e612456e297ff71775bb50e6"
 
 
 class TestCaches:
