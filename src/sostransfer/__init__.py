@@ -20,7 +20,6 @@ from .lattice import (
     minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
-    reduced_component_total,
     standard_prism,
     veronese_triangle,
     wide_prism,
@@ -43,6 +42,7 @@ from .toric import (
     hilbert_classic_plan,
     improved_ternary_bound,
     plan_transfer,
+    reduced_component_total,
     transfer_check,
     trapezoid,
     veronese_step_counts,

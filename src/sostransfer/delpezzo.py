@@ -74,7 +74,8 @@ class SurfaceModel:
 
     gram is the intersection form on the Picard lattice over C, K the
     canonical class, tau the conjugation involution (as a matrix acting on
-    coefficient vectors).  chiO = 1 for every del Pezzo surface.
+    coefficient vectors).  chi(O) = 1 on every del Pezzo surface, so the
+    model holds no field for it (see ``chi``).
 
     What the del Pezzo layer derives from the lattice (the sparse form and
     involution, the real curves and conic bundles, the pairing rows of -K,
@@ -89,7 +90,6 @@ class SurfaceModel:
     gram: tuple[tuple[int, ...], ...]
     K: Divisor
     tau: tuple[tuple[int, ...], ...]
-    chiO: int = 1
 
     @cached_property
     def rank(self) -> int:
@@ -461,17 +461,18 @@ def is_ample(s: SurfaceModel, d: Sequence[int]) -> bool:
     return s.intersect(d, d) > 0 and _least_pairing(s, d) > 0
 
 
-def _chi_value(s: SurfaceModel, square: int, kdot: int) -> int:
-    """chi of a class with D.D = square and D.K = kdot."""
+def _chi_value(square: int, kdot: int) -> int:
+    """chi of a class with D.D = square and D.K = kdot, by Riemann-Roch with
+    chi(O) = 1, as on every del Pezzo surface."""
     q = square - kdot
     if q % 2 != 0:
         raise DelPezzoError("D.D - D.K must be even on a surface lattice")
-    return s.chiO + q // 2
+    return 1 + q // 2
 
 
 def chi(s: SurfaceModel, d: Sequence[int]) -> int:
     """Euler characteristic 1 + (D.D - D.K)/2; the parity is a lattice fact."""
-    return _chi_value(s, s.intersect(d, d), s.intersect(d, s.K))
+    return _chi_value(s.intersect(d, d), s.intersect(d, s.K))
 
 
 # -- negative curves ------------------------------------------------------------
@@ -588,9 +589,9 @@ def _ample_records(s: SurfaceModel, d: Divisor, steps: int, nef_end: int) -> Ite
         ek = dk - i * kc
         em = dm - i * cm
         h = 2 * j + 1  # D + E = 2d - hC
-        chi_2e = _chi_value(s, 4 * ee, 2 * ek)
-        chi_minus_de = _chi_value(s, 4 * dd - 4 * h * dc + h * h * cc, h * kc - 2 * dk)
-        chi_2e_minus_m = _chi_value(s, 4 * ee - 4 * em + mm, 2 * ek - km)
+        chi_2e = _chi_value(4 * ee, 2 * ek)
+        chi_minus_de = _chi_value(4 * dd - 4 * h * dc + h * h * cc, h * kc - 2 * dk)
+        chi_2e_minus_m = _chi_value(4 * ee - 4 * em + mm, 2 * ek - km)
         record = {
             "surface": s.name,
             "D": cur,

@@ -4,23 +4,21 @@ Everything in this module is integer arithmetic: convex hulls, dilations,
 Minkowski sums, closed-form lattice-point counts, translate containment as
 one exact interval per row (at most ``MAX_SWEEP_ROWS`` rows per scan), the
 component count of a set difference ``P \\ Q'`` by one covered-arc rule
-(edges of P meeting Q' minus vertices of P inside it) and the closed-form
-total of that count over all translates, which feeds the toric transfer
-criterion and scans the rows of at most one box, and the terminal tests
-(Lawrence prism, twice a unimodular triangle) as lattice invariants.  Every
-comparison is exact.
+(edges of P meeting Q' minus vertices of P inside it), the count N_in of
+translates of Q inside int P, which scans the rows of at most one box, and
+the terminal tests (Lawrence prism, twice a unimodular triangle) as lattice
+invariants.  Every comparison is exact.
 
 Counts of a Minkowski sum never need the sum itself: twice the area of
 P + Q is twice the areas of P and Q plus twice their mixed area, its
 boundary count is the sum of theirs, and Pick's theorem turns the two into
-``minkowski_lattice_point_count``.  The transfer criterion counts P + Q
-that way, and so does ``reduced_component_total``: in its closed form the
-mixed area of P with -Q cancels, which leaves h = #L(P + Q) + N_in - A2(P)
-- A2(Q) - B(Q) - 2 for the N_in translates of Q inside int P, and a
-criterion margin of A2(Q) - A2(P) + B(P) + B(Q) - 1 + N_in, with no mixed
-area at all.  The candidate polygons (``rectangle``, ``wide_prism``,
-``veronese_triangle``) are built once per process, in bounded caches, so
-the invariants they cache are computed once too.
+``minkowski_lattice_point_count``.  The toric transfer criterion reads the
+total h of the component counts over all translates, and its margin, from
+that one count #L(P + Q) and ``inside_translate_count`` (the closed form
+and its proof are in ``toric.reduced_component_total``).  The candidate
+polygons (``rectangle``, ``wide_prism``, ``veronese_triangle``) are built
+once per process, in bounded caches, so the invariants they cache are
+computed once too.
 """
 
 from __future__ import annotations
@@ -468,8 +466,8 @@ def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCou
     component whenever the difference is nonempty).  While Q' does not
     contain P, Q' covers sum_i ([e_i meets Q'] - [v_i in Q']) arcs of it,
     for the edges e_i = [v_i, v_(i+1)] of P (the proof is in
-    ``reduced_component_total``).  The segment e_i misses Q' exactly when a
-    separating axis exists: both ends lie strictly outside one inward
+    ``toric.reduced_component_total``).  The segment e_i misses Q' exactly
+    when a separating axis exists: both ends lie strictly outside one inward
     halfplane n.x >= c of Q', or every vertex of Q' lies strictly on one
     side of the line of e_i.
     """
@@ -490,59 +488,16 @@ def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCou
     return ComponentCount(comps, comps - 1)
 
 
-def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
-    """Total reduced component count h over all lattice translates of Q:
-    the sum over m in Z^2 of (blocks(m) - 1)+, where blocks(m) is the number
-    of maximal arcs of the boundary of P that Q + m covers, so that
-    P \\ (Q + m) has max(blocks(m), 1) components (see
-    ``difference_components``).
+def inside_translate_count(p: LatticePolygon, q: LatticePolygon) -> int:
+    """N_in = #{m : Q + m inside int P}, the lattice translates of Q that lie
+    in the interior of P; the toric criterion reads h and its margin from it
+    (``toric.reduced_component_total``).
 
     Requires the transfer hypothesis: no lattice translate of P fits inside
-    Q.  Then h has a closed form:
-
-        h = #L(P + Q) + #{m : Q + m inside int P} - A2(P) - A2(Q) - B(Q) - 2,
-
-    for twice the areas A2 and the boundary counts B.
-
-    Proof.  By the hypothesis Q' = Q + m never contains P, so the covered
-    set is a closed proper subset of the circle bounding P, and each of its
-    components has one first point going counter-clockwise.  On e_i the
-    covered part is one closed segment, since Q' is convex.  A component
-    starts on e_i, at a point of the half-open edge (v_i, v_(i+1)], exactly
-    when that segment is nonempty and v_i is not in Q'.  As v_i in Q'
-    implies the segment is nonempty,
-
-        blocks(m) = sum_i ([e_i meets Q'] - [v_i in Q']).
-
-    Over all m, e_i meets Q + m for the m in e_i + (-Q) and v_i lies in
-    Q + m for the m in v_i - Q, so the sum of blocks(m) is
-    sum_i (#L(e_i + (-Q)) - #L(Q)).  Let edge e_i = [v_i, v_(i+1)] of P
-    have lattice length g_i and primitive outward normal n_i, and let w_i
-    = max - min of n_i.w over the vertices w of Q.  Adding the segment e_i
-    to -Q adds 2 g_i w_i to twice its area and 2 g_i to its boundary count,
-    so by Pick's theorem #L(e_i + (-Q)) - #L(Q) = g_i (w_i + 1).  Finally
-    blocks(m) >= 1 exactly when Q + m meets the boundary of P, that is for
-    the m of the zone P + (-Q) except those with Q + m inside the interior
-    of P (a translate that meets P but not its boundary lies in the
-    interior), so
-
-        h = sum_i g_i (w_i + 1) - #L(P + (-Q)) + #{m : Q + m inside int P}.
-
-    The two mixed areas in it cancel.  Write M- = sum_i g_i max_w (-n_i.w)
-    and M+ = sum_i g_i max_w n_i.w for the mixed terms of P with -Q and
-    with Q, so that w_i splits into the two maxima and, by Pick's theorem
-    as in ``minkowski_lattice_point_count``,
-
-        sum_i g_i (w_i + 1) = M- + M+ + B(P),
-        #L(P + (-Q)) = (A2(P) + A2(Q) + B(P) + B(Q))/2 + M- + 1,
-        #L(P + Q) = (A2(P) + A2(Q) + B(P) + B(Q))/2 + M+ + 1.
-
-    Subtracting the second line from the first and putting M+ from the
-    third gives the closed form.  Neither sum is built.  The last count
-    scans the rows of the box where the translates of Q strictly fit
-    inside P's bounding box, one exact interval of mx per row: Q + m lies
-    inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every inward
-    halfplane n_j.x >= c_j of P.
+    Q.  The count scans the rows of the box where the translates of Q
+    strictly fit inside P's bounding box, one exact interval of mx per row:
+    Q + m lies inside int P when n_j.m >= c_j + 1 - min_w n_j.w for every
+    inward halfplane n_j.x >= c_j of P.
 
     Of the two row scans at most one has rows: the containment box has rows
     only when Q is at least as tall as P, and the inside box only when P is
@@ -557,8 +512,7 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     pxmin, pymin, pxmax, pymax = p.bounding_box
     qxmin, qymin, qxmax, qymax = q.bounding_box
     box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
-    inside = sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
-    return minkowski_lattice_point_count(p, q) + inside - p.twice_area - q.twice_area - q.boundary_lattice_point_count - 2
+    return sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
 
 
 def standard_prism(h1: int, h2: int) -> LatticePolygon:

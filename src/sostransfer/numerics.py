@@ -1,9 +1,11 @@
-"""Shared integer evaluators for multiplier-transfer criteria.
+"""Integer evaluators for multiplier-transfer criteria.
 
-These are the numeric cores used by the toric, del Pezzo, and ruled-surface
-front ends: the section-count inequality, its Euler-characteristic form, the
+The section-count inequality, its Euler-characteristic form, the
 conjugation-invariant length bound, and degree accounting for chained
-multipliers.  All ceilings are computed with integer division; no floats.
+multipliers.  Of these the del Pezzo layer calls ``chi_criterion_holds``;
+the toric and ruled-surface layers evaluate their own margins in closed
+form and call none of them.  All ceilings are computed with integer
+division; no floats.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 
 class RuledDataError(ValueError):
-    """Invalid ruled-surface data, or data whose ladders exceed the budget."""
+    """Invalid ruled-surface data or degree range (d below d0), or data whose
+    ladders exceed the budget."""
 
 
 class ScheduleError(ValueError):
@@ -373,10 +374,10 @@ def multiplier_degree_bound(data: RuledData, d: int, d0: int) -> DegreeBound:
     t * delta + (delta - 1); the total is summed in closed form.  The
     base-case constant is kept symbolic (zero here).  When the levels would
     span more than ``MAX_LADDER_STEPS`` ladder steps the call is refused up
-    front with RuledDataError.
+    front with RuledDataError, and so is a reversed range, d < d0.
     """
     if d < d0:
-        raise ScheduleError("d must be at least d0")
+        raise RuledDataError("d must be at least d0")
     t = minimal_transfer_t(minimal_transfer_s(data))
     per_level = (1 if data.elliptic_mode else t) + 1
     if (d - d0) * per_level > MAX_LADDER_STEPS:

@@ -18,11 +18,11 @@ from .lattice import (
     LatticePolygon,
     TranslateContainmentError,
     DegeneratePolygonError,
+    inside_translate_count,
     is_lawrence_prism,
     is_twice_unit_triangle,
     minkowski_lattice_point_count,
     rectangle,
-    reduced_component_total,
     veronese_triangle,
     wide_prism,
 )
@@ -112,9 +112,10 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     and #int(P + Q) is #L(P + Q) - B(P) - B(Q), with #L(P + Q) from the
     mixed area; neither 2Q nor P + Q is built.
 
-    The margin count(2Q) + h - #int(P + Q) holds no mixed area at all.
-    ``reduced_component_total`` gives h = #L(P + Q) + N_in - A2(P) - A2(Q)
-    - B(Q) - 2 for N_in = #{m : Q + m inside int P}, and #L(P + Q) cancels:
+    A check counts #L(P + Q) and N_in = #{m : Q + m inside int P} once
+    each, and ``reduced_component_total`` gives h = #L(P + Q) + N_in - A2(P)
+    - A2(Q) - B(Q) - 2.  In the margin count(2Q) + h - #int(P + Q) the count
+    #L(P + Q) cancels, so the margin holds no mixed area at all:
 
         margin = A2(Q) - A2(P) + B(P) + B(Q) - 1 + N_in.
     """
@@ -125,11 +126,68 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
 
 @lru_cache(maxsize=4096)
 def _transfer_check_cached(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
-    h = reduced_component_total(p, q)
-    count_2q = 2 * q.twice_area + q.boundary_lattice_point_count + 1
-    interior_pq = minkowski_lattice_point_count(p, q) - p.boundary_lattice_point_count - q.boundary_lattice_point_count
-    margin = count_2q + h - interior_pq
-    return TransferVerdict(count_2q, h, interior_pq, margin > 0, margin)
+    n_in, lattice_pq = inside_translate_count(p, q), minkowski_lattice_point_count(p, q)
+    bp, bq = p.boundary_lattice_point_count, q.boundary_lattice_point_count
+    h = lattice_pq + n_in - p.twice_area - q.twice_area - bq - 2
+    margin = q.twice_area - p.twice_area + bp + bq - 1 + n_in
+    return TransferVerdict(2 * q.twice_area + bq + 1, h, lattice_pq - bp - bq, margin > 0, margin)
+
+
+def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
+    """Total reduced component count h over all lattice translates of Q:
+    the sum over m in Z^2 of (blocks(m) - 1)+, where blocks(m) is the number
+    of maximal arcs of the boundary of P that Q + m covers, so that
+    P \\ (Q + m) has max(blocks(m), 1) components (see
+    ``lattice.difference_components``).
+
+    Requires the transfer hypothesis: no lattice translate of P fits inside
+    Q.  Then h has a closed form:
+
+        h = #L(P + Q) + #{m : Q + m inside int P} - A2(P) - A2(Q) - B(Q) - 2,
+
+    for twice the areas A2 and the boundary counts B; it is the h of
+    ``transfer_check``.
+
+    Proof.  By the hypothesis Q' = Q + m never contains P, so the covered
+    set is a closed proper subset of the circle bounding P, and each of its
+    components has one first point going counter-clockwise.  On e_i the
+    covered part is one closed segment, since Q' is convex.  A component
+    starts on e_i, at a point of the half-open edge (v_i, v_(i+1)], exactly
+    when that segment is nonempty and v_i is not in Q'.  As v_i in Q'
+    implies the segment is nonempty,
+
+        blocks(m) = sum_i ([e_i meets Q'] - [v_i in Q']).
+
+    Over all m, e_i meets Q + m for the m in e_i + (-Q) and v_i lies in
+    Q + m for the m in v_i - Q, so the sum of blocks(m) is
+    sum_i (#L(e_i + (-Q)) - #L(Q)).  Let edge e_i = [v_i, v_(i+1)] of P
+    have lattice length g_i and primitive outward normal n_i, and let w_i
+    = max - min of n_i.w over the vertices w of Q.  Adding the segment e_i
+    to -Q adds 2 g_i w_i to twice its area and 2 g_i to its boundary count,
+    so by Pick's theorem #L(e_i + (-Q)) - #L(Q) = g_i (w_i + 1).  Finally
+    blocks(m) >= 1 exactly when Q + m meets the boundary of P, that is for
+    the m of the zone P + (-Q) except those with Q + m inside the interior
+    of P (a translate that meets P but not its boundary lies in the
+    interior), so
+
+        h = sum_i g_i (w_i + 1) - #L(P + (-Q)) + #{m : Q + m inside int P}.
+
+    The two mixed areas in it cancel.  Write M- = sum_i g_i max_w (-n_i.w)
+    and M+ = sum_i g_i max_w n_i.w for the mixed terms of P with -Q and
+    with Q, so that w_i splits into the two maxima and, by Pick's theorem
+    as in ``lattice.minkowski_lattice_point_count``,
+
+        sum_i g_i (w_i + 1) = M- + M+ + B(P),
+        #L(P + (-Q)) = (A2(P) + A2(Q) + B(P) + B(Q))/2 + M- + 1,
+        #L(P + Q) = (A2(P) + A2(Q) + B(P) + B(Q))/2 + M+ + 1.
+
+    Subtracting the second line from the first and putting M+ from the
+    third gives the closed form.  Neither sum is built, and the last count
+    is ``lattice.inside_translate_count``.
+    """
+    if p.dim != 2 or q.dim != 2:
+        raise DegeneratePolygonError("component totals need full-dimensional polygons")
+    return transfer_check(p, q).h
 
 
 # -- closed forms for the classic ternary iteration ---------------------------
@@ -548,10 +606,7 @@ def plan_to_json_dict(plan: TransferPlan) -> dict:
             {
                 "p": s.p.to_json_dict(),
                 "q": s.q.to_json_dict(),
-                "count2q": s.verdict.count_2Q,
-                "h": s.verdict.h,
-                "interior": s.verdict.interior_PQ,
-                "margin": s.verdict.margin,
+                **{k: v for k, v in verdict_to_json_dict(s.verdict).items() if k != "holds"},
                 "note": s.note,
             }
             for s in plan.steps

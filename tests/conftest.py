@@ -308,6 +308,24 @@ def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     return total
 
 
+def brute_force_inside_count(p: LatticePolygon, q: LatticePolygon) -> int:
+    """#{m : Q + m inside int P} by testing every translate m of the box
+    where Q + m fits in P's bounding box: every vertex of Q + m must lie
+    strictly inside every edge of P.  The reference for
+    ``lattice.inside_translate_count``, refusing the same inputs."""
+    if p.dim != 2 or q.dim != 2:
+        raise DegeneratePolygonError("component totals need full-dimensional polygons")
+    if brute_force_contains_translate(p, q) is not None:
+        raise TranslateContainmentError("translate containment")
+    pxmin, pymin, pxmax, pymax = p.bounding_box
+    qxmin, qymin, qxmax, qymax = q.bounding_box
+    return sum(
+        all((b.x - a.x) * (w.y + my - a.y) - (b.y - a.y) * (w.x + mx - a.x) > 0 for a, b in p.edges for w in q.vertices)
+        for mx in range(pxmin - qxmin, pxmax - qxmax + 1)
+        for my in range(pymin - qymin, pymax - qymax + 1)
+    )
+
+
 def built_polygon_verdict(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     """The one-step verdict counted on built polygons, the reference for
     ``toric.transfer_check`` (which builds none): count(2Q) on dilate(Q, 2),

@@ -24,7 +24,6 @@ from sostransfer.lattice import (
     difference_components,
     minkowski_sum,
     rectangle,
-    reduced_component_total,
     veronese_triangle,
 )
 from sostransfer.numerics import CohomologyInput, chi_criterion_holds, h0_criterion_holds
@@ -39,6 +38,7 @@ from sostransfer.ruled import (
 from sostransfer.toric import (
     hilbert_classic_bound,
     improved_ternary_bound,
+    reduced_component_total,
     transfer_check,
     veronese_step_counts,
 )

@@ -194,6 +194,12 @@ class TestRuled:
         assert code == 2 and out == ""
         assert err.startswith("not applicable:") and "d = 4" in err and "= 5" in err
 
+    def test_reversed_degree_range_exits_one(self, capsys):
+        # d below d0 is malformed input, not a degree without a schedule
+        code, out, err = invoke(capsys, "ruled-bound", "--elliptic", "--d", "3", "--d0", "5")
+        assert code == 1 and out == ""
+        assert err == "error: d must be at least d0\n"
+
     def test_bound(self, capsys):
         code, out, _ = invoke(
             capsys, "ruled-bound", "--elliptic", "--d", "10", "--d0", "5", "--json"

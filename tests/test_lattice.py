@@ -18,17 +18,17 @@ from sostransfer.lattice import (
     contains_lattice_translate,
     difference_components,
     dilate,
+    inside_translate_count,
     is_lawrence_prism,
     is_twice_unit_triangle,
     minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
-    reduced_component_total,
     standard_prism,
     veronese_triangle,
     wide_prism,
 )
-from sostransfer.toric import iter_convex_subpolygons
+from sostransfer.toric import iter_convex_subpolygons, reduced_component_total
 
 from conftest import (
     TWICE_UNIT_TRIANGLE,
@@ -36,8 +36,10 @@ from conftest import (
     _covered_block_count,
     brute_force_component_total,
     brute_force_contains_translate,
+    brute_force_inside_count,
     brute_force_interior_count,
     brute_force_lattice_count,
+    component_oracle_pairs,
     event_segments,
     fraction_covered_arcs,
     hull_minkowski_sum,
@@ -45,6 +47,7 @@ from conftest import (
     plan_corpus,
     random_polygon,
     random_unimodular,
+    structured_oracle_pairs,
     total_or_containment,
 )
 
@@ -270,6 +273,34 @@ class TestReducedComponentTotal:
     def test_hypothesis_violation(self):
         with pytest.raises(TranslateContainmentError):
             reduced_component_total(rectangle(1, 1), rectangle(2, 2))
+
+
+class TestInsideTranslateCount:
+    """N_in, the translates of Q inside int P, against the count of every
+    translate whose vertices all lie strictly inside P."""
+
+    @staticmethod
+    def _agree(p, q):
+        got = total_or_containment(inside_translate_count, p, q)
+        assert got == total_or_containment(brute_force_inside_count, p, q), (p, q)
+        return got
+
+    def test_oracle_pairs(self):
+        # each pair both ways round: small P against large Q is refused
+        pairs = [*component_oracle_pairs(random.Random(707), 20), *structured_oracle_pairs(random.Random(717), 120)]
+        counts = [self._agree(a, b) for p, qp, _ in pairs for a, b in ((p, qp), (qp, p))]
+        assert sum(c == "containment" for c in counts) >= 80
+        assert sum(c not in ("containment", 0) for c in counts) >= 35
+
+    def test_containment_is_refused(self):
+        with pytest.raises(TranslateContainmentError, match="translate containment"):
+            inside_translate_count(rectangle(1, 1), rectangle(2, 2))
+
+    def test_degenerate_input_is_refused(self):
+        segment, point = LatticePolygon([(0, 0), (3, 1)]), LatticePolygon([(2, 2)])
+        for p, q in ((segment, rectangle(1, 1)), (rectangle(4, 4), segment), (rectangle(4, 4), point)):
+            with pytest.raises(DegeneratePolygonError, match="component totals need full-dimensional polygons"):
+                inside_translate_count(p, q)
 
 
 def _steep_polygon(rng: random.Random) -> LatticePolygon:

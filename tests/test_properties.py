@@ -19,10 +19,10 @@ from sostransfer.lattice import (
     minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
-    reduced_component_total,
     standard_prism,
     veronese_triangle,
 )
+from sostransfer.toric import reduced_component_total
 
 from conftest import (
     _clip_rows,

@@ -320,7 +320,7 @@ class TestDegreeBound:
         assert 3.5 <= e100 / e50 <= 4.5
 
     def test_rejects_inverted_range(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(RuledDataError, match="d must be at least d0"):
             multiplier_degree_bound(ELLIPTIC, 5, 6)
 
     def test_ladder_step_budget(self, monkeypatch):

@@ -110,6 +110,30 @@ class TestTransferCheck:
             assert transfer_check(*pair(n)) == built_polygon_verdict(*pair(n))
 
 
+    def test_a_computed_check_counts_each_sum_once(self, monkeypatch):
+        # #L(P + Q) and N_in are counted once per computed check, under any
+        # name a caller reads them by; a cached check counts neither
+        from sostransfer import lattice
+
+        calls = []
+        for name in ("minkowski_lattice_point_count", "inside_translate_count"):
+            def spy(p, q, name=name, real=getattr(lattice, name)):
+                calls.append(name)
+                return real(p, q)
+
+            for module in (lattice, toric):
+                monkeypatch.setattr(module, name, spy)
+        toric._transfer_check_cached.cache_clear()
+        # N_in is 0 for the first pair and 10 for the second
+        for p, q in ((veronese_triangle(5), FIGURE_PRISM), (veronese_triangle(9), rectangle(2, 1))):
+            calls.clear()
+            v = transfer_check(p, q)
+            assert sorted(calls) == ["inside_translate_count", "minkowski_lattice_point_count"]
+            assert v == built_polygon_verdict(p, q)
+            calls.clear()
+            assert transfer_check(p, q) == v and calls == []
+
+
 class TestTransferCheckOracle:
     """transfer_check, which counts 2Q, P + Q and P + (-Q) from areas and
     boundary counts, against the verdict counted on built polygons."""
