@@ -4,8 +4,6 @@ surfaces, Picard-lattice transfer sequences for totally-real del Pezzo
 surfaces, and blow-up schedules for ruled surfaces."""
 
 from .lattice import (
-    ComponentCount,
-    EmptyDifferenceError,
     EmptyPointSetError,
     DegeneratePolygonError,
     LatticeGeometryError,
@@ -13,23 +11,13 @@ from .lattice import (
     LatticePolygon,
     TranslateContainmentError,
     contains_lattice_translate,
-    difference_components,
-    dilate,
     is_lawrence_prism,
     is_twice_unit_triangle,
     minkowski_lattice_point_count,
     minkowski_sum,
     rectangle,
-    standard_prism,
     veronese_triangle,
     wide_prism,
-)
-from .numerics import (
-    CohomologyInput,
-    chain_total_degree,
-    chi_criterion_holds,
-    conjugation_invariant_length_bound,
-    h0_criterion_holds,
 )
 from .toric import (
     NoPlanError,
@@ -45,7 +33,6 @@ from .toric import (
     reduced_component_total,
     transfer_check,
     trapezoid,
-    veronese_step_counts,
 )
 from .delpezzo import (
     DelPezzoError,

@@ -48,7 +48,7 @@ def _read_json(source: str, what: str):
             raise CliInputError(f"cannot read {what} file {source!r}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"malformed {what} JSON: {exc}") from None
 
 
@@ -56,12 +56,13 @@ def parse_polygon(source: str, strict: bool = False) -> LatticePolygon:
     """Polygon from inline JSON or a file path; canonicalizes on read.
 
     Vertices must be integer pairs (checked by ``LatticePolygon.from_json_dict``).
-    Under strict mode the input vertices must already be exactly the
-    canonical hull (no interior points, no collinear vertices).
+    Under strict mode the input vertex list must already be exactly the
+    canonical hull: counter-clockwise from the lex-min vertex, with no
+    repeated, interior or collinear points.
     """
     data = _read_json(source, "polygon")
     poly = LatticePolygon.from_json_dict(data)
-    if strict and set(poly.vertices) != {tuple(v) for v in data["vertices"]}:
+    if strict and [tuple(v) for v in data["vertices"]] != list(poly.vertices):
         raise CliInputError("field 'vertices' is not in strict convex position")
     return poly
 

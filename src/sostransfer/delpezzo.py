@@ -25,7 +25,6 @@ from ._intlinalg import (
     solve_in_column_span,
     solve_quadratic_lattice,
 )
-from .numerics import chi_criterion_holds
 
 Divisor = tuple[int, ...]
 
@@ -436,12 +435,6 @@ def _primitive(d: Divisor) -> Divisor:
     return tuple(x // g for x in d) if g > 1 else d
 
 
-def cone_generators(s: SurfaceModel) -> tuple[Divisor, ...]:
-    """Extremal test classes for nefness: the (-1)-curves plus the conic
-    bundle classes, or the primitive anticanonical ray on the plane itself."""
-    return s._cone[0]
-
-
 def _least_pairing(s: SurfaceModel, d: Divisor) -> int:
     """The least pairing of d with a cone generator: d is nef iff it is at
     least 0, and ample iff it is positive and D.D > 0."""
@@ -607,7 +600,7 @@ def _ample_records(s: SurfaceModel, d: Divisor, steps: int, nef_end: int) -> Ite
             "chi_minus_D_minus_E": chi_minus_de,
             "chi_2E_minus_M": chi_2e_minus_m,
             "h1_E_minus_D": 0,
-            "holds": chi_criterion_holds(chi_2e, 0, chi_minus_de),
+            "holds": chi_2e > chi_minus_de,
         }
         if not record["holds"]:
             raise DelPezzoError(f"{s.name}: ample step inequality failed for {cur}")

@@ -1,13 +1,11 @@
 """Exact geometry of convex lattice polygons.
 
-Everything in this module is integer arithmetic: convex hulls, dilations,
-Minkowski sums, closed-form lattice-point counts, translate containment as
-one exact interval per row (at most ``MAX_SWEEP_ROWS`` rows per scan), the
-component count of a set difference ``P \\ Q'`` by one covered-arc rule
-(edges of P meeting Q' minus vertices of P inside it), the count N_in of
-translates of Q inside int P, which scans the rows of at most one box, and
-the terminal tests (Lawrence prism, twice a unimodular triangle) as lattice
-invariants.  Every comparison is exact.
+Everything in this module is integer arithmetic: convex hulls, Minkowski
+sums, closed-form lattice-point counts, translate containment as one exact
+interval per row (at most ``MAX_SWEEP_ROWS`` rows per scan), the count N_in
+of translates of Q inside int P, which scans the rows of at most one box,
+and the terminal tests (Lawrence prism, twice a unimodular triangle) as
+lattice invariants.  Every comparison is exact.
 
 Counts of a Minkowski sum never need the sum itself: twice the area of
 P + Q is twice the areas of P and Q plus twice their mixed area, its
@@ -23,7 +21,6 @@ computed once too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -39,10 +36,6 @@ class EmptyPointSetError(LatticeGeometryError):
 
 class DegeneratePolygonError(LatticeGeometryError):
     """Raised when an operation requires a full-dimensional polygon."""
-
-
-class EmptyDifferenceError(LatticeGeometryError):
-    """Raised when ``P \\ Q'`` is empty because ``Q'`` contains ``P``."""
 
 
 class TranslateContainmentError(LatticeGeometryError):
@@ -67,9 +60,6 @@ class LatticePoint(NamedTuple):
 
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(-self.x, -self.y)
-
-    def scaled(self, k: int) -> "LatticePoint":
-        return LatticePoint(self.x * k, self.y * k)
 
 
 def _as_point(p) -> LatticePoint:
@@ -168,24 +158,7 @@ class LatticePolygon:
     def __repr__(self) -> str:
         return f"LatticePolygon({list(map(tuple, self.vertices))})"
 
-    # -- point membership --------------------------------------------------
-
-    def contains_point(self, p) -> bool:
-        p = LatticePoint(*p)
-        v = self.vertices
-        if self.dim == 0:
-            return p == v[0]
-        if self.dim == 1:
-            a, b = v
-            if _cross(a, b, p) != 0:
-                return False
-            return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges)
-
-    def contains_polygon(self, other: "LatticePolygon") -> bool:
-        return all(self.contains_point(p) for p in other.vertices)
-
-    # -- rigid motions and scaling ------------------------------------------
+    # -- rigid motions ------------------------------------------------------
 
     def translate(self, m) -> "LatticePolygon":
         m = LatticePoint(*m)
@@ -205,15 +178,6 @@ class LatticePolygon:
         v = tuple(-p for p in self.vertices)
         i = v.index(min(v))
         return LatticePolygon._from_canonical(v[i:] + v[:i])
-
-    def apply_unimodular(self, matrix: Sequence[Sequence[int]], shift=(0, 0)) -> "LatticePolygon":
-        (a, b), (c, d) = matrix
-        if a * d - b * c not in (1, -1):
-            raise LatticeGeometryError("matrix is not unimodular")
-        sx, sy = shift
-        return LatticePolygon(
-            [(a * p.x + b * p.y + sx, c * p.x + d * p.y + sy) for p in self.vertices]
-        )
 
     # -- counting ------------------------------------------------------------
 
@@ -243,19 +207,6 @@ class LatticePolygon:
             return 0
         return self.lattice_point_count - self.boundary_lattice_point_count
 
-    # -- edge data -----------------------------------------------------------
-
-    @cached_property
-    def edge_direction_multiset(self) -> dict[tuple[int, int], int]:
-        """Primitive edge directions with total lattice length as multiplicity."""
-        out: dict[tuple[int, int], int] = {}
-        for a, b in self.edges:
-            dx, dy = b.x - a.x, b.y - a.y
-            g = gcd(abs(dx), abs(dy))
-            key = (dx // g, dy // g)
-            out[key] = out.get(key, 0) + g
-        return out
-
     # -- JSON ----------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -279,30 +230,7 @@ class LatticePolygon:
         return cls(verts)
 
 
-@dataclass(frozen=True)
-class ComponentCount:
-    """Number of connected components of a set difference, plus the reduced count."""
-
-    components: int
-    reduced: int
-
-    def __post_init__(self) -> None:
-        if self.components < 0:
-            raise LatticeGeometryError("negative component count")
-        if self.reduced != max(self.components, 1) - 1:
-            raise LatticeGeometryError("reduced count must be max(components,1) - 1")
-
-
 # -- public operations -------------------------------------------------------
-
-
-def dilate(poly: LatticePolygon, k: int) -> LatticePolygon:
-    """The dilation kP for k >= 0; k = 0 collapses to the origin."""
-    if k < 0:
-        raise LatticeGeometryError("dilation factor must be nonnegative")
-    if k == 0:
-        return LatticePolygon._from_canonical((LatticePoint(0, 0),))
-    return LatticePolygon._from_canonical(tuple(p.scaled(k) for p in poly.vertices))
 
 
 def _edge_vectors(poly: LatticePolygon) -> list[tuple[int, int]]:
@@ -457,37 +385,6 @@ def _inward_halfplanes(q: LatticePolygon) -> tuple[tuple[int, int, int], ...]:
     return tuple(planes)
 
 
-def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCount:
-    """Connected components of the closed set difference P \\ Q'.
-
-    Both polygons closed; a region of P touching the rest only at points
-    swallowed by Q' counts as a separate component.  The count equals the
-    number of maximal arcs of the boundary of P outside Q' (at least one
-    component whenever the difference is nonempty).  While Q' does not
-    contain P, Q' covers sum_i ([e_i meets Q'] - [v_i in Q']) arcs of it,
-    for the edges e_i = [v_i, v_(i+1)] of P (the proof is in
-    ``toric.reduced_component_total``).  The segment e_i misses Q' exactly
-    when a separating axis exists: both ends lie strictly outside one inward
-    halfplane n.x >= c of Q', or every vertex of Q' lies strictly on one
-    side of the line of e_i.
-    """
-    if p.dim != 2:
-        raise DegeneratePolygonError("P must be full-dimensional")
-    if qp.dim != 2:
-        raise DegeneratePolygonError("Q' must be full-dimensional")
-    planes = _inward_halfplanes(qp)
-    outside = [{j for j, (nx, ny, c) in enumerate(planes) if nx * v.x + ny * v.y < c} for v in p.vertices]
-    if not any(outside):
-        raise EmptyDifferenceError("empty difference")
-    blocks = 0
-    for (a, b), out_a, out_b in zip(p.edges, outside, outside[1:] + outside[:1]):
-        sides = [_cross(a, b, w) for w in qp.vertices]
-        blocks += not (out_a & out_b or min(sides) > 0 or max(sides) < 0)
-        blocks -= not out_a
-    comps = max(1, blocks)
-    return ComponentCount(comps, comps - 1)
-
-
 def inside_translate_count(p: LatticePolygon, q: LatticePolygon) -> int:
     """N_in = #{m : Q + m inside int P}, the lattice translates of Q that lie
     in the interior of P; the toric criterion reads h and its margin from it
@@ -513,13 +410,6 @@ def inside_translate_count(p: LatticePolygon, q: LatticePolygon) -> int:
     qxmin, qymin, qxmax, qymax = q.bounding_box
     box = (pxmin - qxmin + 1, pymin - qymin + 1, pxmax - qxmax - 1, pymax - qymax - 1)
     return sum(hi - lo + 1 for _, lo, hi in _row_intervals(p, 1, q.vertices, box) if lo <= hi)
-
-
-def standard_prism(h1: int, h2: int) -> LatticePolygon:
-    """The prism with vertical fibers of heights h1 and h2 over a unit edge."""
-    if h1 < 0 or h2 < 0:
-        raise LatticeGeometryError("prism heights must be nonnegative")
-    return LatticePolygon([(0, 0), (1, 0), (0, h1), (1, h2)])
 
 
 # The candidate shapes ``wide_prism``, ``rectangle`` and ``veronese_triangle``

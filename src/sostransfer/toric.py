@@ -137,8 +137,8 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     """Total reduced component count h over all lattice translates of Q:
     the sum over m in Z^2 of (blocks(m) - 1)+, where blocks(m) is the number
     of maximal arcs of the boundary of P that Q + m covers, so that
-    P \\ (Q + m) has max(blocks(m), 1) components (see
-    ``lattice.difference_components``).
+    P \\ (Q + m) has max(blocks(m), 1) components (the oracle
+    ``difference_components`` in ``tests/conftest.py`` counts them).
 
     Requires the transfer hypothesis: no lattice translate of P fits inside
     Q.  Then h has a closed form:
@@ -191,17 +191,6 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
 
 
 # -- closed forms for the classic ternary iteration ---------------------------
-
-
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2 if n >= 2 else 0
-
-
-def veronese_step_counts(d: int) -> tuple[int, int]:
-    """Closed-form counts for the classic step dΔ -> (d-2)Δ."""
-    if d < 3:
-        raise ToricTransferError("classic step needs degree at least 3")
-    return _binom2(2 * d - 2), _binom2(2 * d - 3)
 
 
 def hilbert_classic_bound(d: int) -> int:

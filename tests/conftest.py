@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
@@ -33,16 +34,184 @@ from sostransfer.delpezzo import (
 )
 from sostransfer.lattice import (
     DegeneratePolygonError,
+    LatticeGeometryError,
     LatticePoint,
     LatticePolygon,
     TranslateContainmentError,
+    _cross,
     _inward_halfplanes,
-    dilate,
     minkowski_sum,
 )
-from sostransfer.numerics import chi_criterion_holds
 from sostransfer.ruled import build_schedule
-from sostransfer.toric import TransferVerdict
+from sostransfer.toric import ToricTransferError, TransferVerdict
+
+
+# -- polygon geometry that only the tests read ---------------------------------
+
+
+class EmptyDifferenceError(LatticeGeometryError):
+    """Raised when ``P \\ Q'`` is empty because ``Q'`` contains ``P``."""
+
+
+@dataclass(frozen=True)
+class ComponentCount:
+    """Number of connected components of a set difference, plus the reduced count."""
+
+    components: int
+    reduced: int
+
+    def __post_init__(self) -> None:
+        if self.components < 0:
+            raise LatticeGeometryError("negative component count")
+        if self.reduced != max(self.components, 1) - 1:
+            raise LatticeGeometryError("reduced count must be max(components,1) - 1")
+
+
+def scaled(p: LatticePoint, k: int) -> LatticePoint:
+    return LatticePoint(p.x * k, p.y * k)
+
+
+def dilate(poly: LatticePolygon, k: int) -> LatticePolygon:
+    """The dilation kP for k >= 0; k = 0 collapses to the origin.  Scaling
+    keeps the vertex list canonical, so no hull is taken."""
+    if k < 0:
+        raise LatticeGeometryError("dilation factor must be nonnegative")
+    if k == 0:
+        return LatticePolygon._from_canonical((LatticePoint(0, 0),))
+    return LatticePolygon._from_canonical(tuple(scaled(p, k) for p in poly.vertices))
+
+
+def standard_prism(h1: int, h2: int) -> LatticePolygon:
+    """The prism with vertical fibers of heights h1 and h2 over a unit edge."""
+    if h1 < 0 or h2 < 0:
+        raise LatticeGeometryError("prism heights must be nonnegative")
+    return LatticePolygon([(0, 0), (1, 0), (0, h1), (1, h2)])
+
+
+def contains_point(poly: LatticePolygon, p) -> bool:
+    p = LatticePoint(*p)
+    v = poly.vertices
+    if poly.dim == 0:
+        return p == v[0]
+    if poly.dim == 1:
+        a, b = v
+        if _cross(a, b, p) != 0:
+            return False
+        return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    return all(_cross(a, b, p) >= 0 for a, b in poly.edges)
+
+
+def contains_polygon(poly: LatticePolygon, other: LatticePolygon) -> bool:
+    return all(contains_point(poly, p) for p in other.vertices)
+
+
+def apply_unimodular(poly: LatticePolygon, matrix: Sequence[Sequence[int]], shift=(0, 0)) -> LatticePolygon:
+    (a, b), (c, d) = matrix
+    if a * d - b * c not in (1, -1):
+        raise LatticeGeometryError("matrix is not unimodular")
+    sx, sy = shift
+    return LatticePolygon([(a * p.x + b * p.y + sx, c * p.x + d * p.y + sy) for p in poly.vertices])
+
+
+def edge_direction_multiset(poly: LatticePolygon) -> dict[tuple[int, int], int]:
+    """Primitive edge directions with total lattice length as multiplicity."""
+    out: dict[tuple[int, int], int] = {}
+    for a, b in poly.edges:
+        dx, dy = b.x - a.x, b.y - a.y
+        g = gcd(abs(dx), abs(dy))
+        key = (dx // g, dy // g)
+        out[key] = out.get(key, 0) + g
+    return out
+
+
+def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCount:
+    """Connected components of the closed set difference P \\ Q'.
+
+    Both polygons closed; a region of P touching the rest only at points
+    swallowed by Q' counts as a separate component.  The count equals the
+    number of maximal arcs of the boundary of P outside Q' (at least one
+    component whenever the difference is nonempty).  While Q' does not
+    contain P, Q' covers sum_i ([e_i meets Q'] - [v_i in Q']) arcs of it,
+    for the edges e_i = [v_i, v_(i+1)] of P (the proof is in
+    ``toric.reduced_component_total``).  The segment e_i misses Q' exactly
+    when a separating axis exists: both ends lie strictly outside one inward
+    halfplane n.x >= c of Q', or every vertex of Q' lies strictly on one
+    side of the line of e_i.
+    """
+    if p.dim != 2:
+        raise DegeneratePolygonError("P must be full-dimensional")
+    if qp.dim != 2:
+        raise DegeneratePolygonError("Q' must be full-dimensional")
+    planes = _inward_halfplanes(qp)
+    outside = [{j for j, (nx, ny, c) in enumerate(planes) if nx * v.x + ny * v.y < c} for v in p.vertices]
+    if not any(outside):
+        raise EmptyDifferenceError("empty difference")
+    blocks = 0
+    for (a, b), out_a, out_b in zip(p.edges, outside, outside[1:] + outside[:1]):
+        sides = [_cross(a, b, w) for w in qp.vertices]
+        blocks += not (out_a & out_b or min(sides) > 0 or max(sides) < 0)
+        blocks -= not out_a
+    comps = max(1, blocks)
+    return ComponentCount(comps, comps - 1)
+
+
+def _binom2(n: int) -> int:
+    return n * (n - 1) // 2 if n >= 2 else 0
+
+
+def veronese_step_counts(d: int) -> tuple[int, int]:
+    """Closed-form counts for the classic step dΔ -> (d-2)Δ."""
+    if d < 3:
+        raise ToricTransferError("classic step needs degree at least 3")
+    return _binom2(2 * d - 2), _binom2(2 * d - 3)
+
+
+# -- the transfer inequality in its section-count and Euler-characteristic forms
+
+
+def ceil_half(n: int) -> int:
+    """Exact ceiling of n/2 for any integer n."""
+    return -((-n) // 2)
+
+
+@dataclass(frozen=True)
+class CohomologyInput:
+    """Section dimensions entering the transfer inequality.
+
+    Vanishing hypotheses on the underlying geometry (no sections of E - D,
+    no first cohomology of D + E or of 2E) are the caller's obligation; the
+    polygon and Picard-lattice front ends discharge them structurally.
+    """
+
+    h0_DplusE: int
+    h0_2Dplus2E: int
+    h0_2E: int
+    h1_EminusD: int
+
+    def __post_init__(self) -> None:
+        for name in ("h0_DplusE", "h0_2Dplus2E", "h0_2E", "h1_EminusD"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+
+
+def h0_criterion_holds(c: CohomologyInput) -> bool:
+    """Section-count inequality implying that E supports multipliers for D.
+
+    Tests h0(D+E) > 1 + ceil((h0(2D+2E) - h0(2E) - h0(D+E) - h1(E-D)) / 2).
+    """
+    numerator = c.h0_2Dplus2E - c.h0_2E - c.h0_DplusE - c.h1_EminusD
+    return c.h0_DplusE > 1 + ceil_half(numerator)
+
+
+def chi_criterion_holds(chi_2E: int, h1_EminusD: int, chi_minusDminusE: int) -> bool:
+    """Euler-characteristic form of the transfer inequality.
+
+    Strict test chi(2E) + h1(E-D) > chi(-D-E).  On a nonsingular surface the
+    right-hand side may be passed as chi(K+D+E), which is equal by duality.
+    """
+    if h1_EminusD < 0:
+        raise ValueError("h1_EminusD must be nonnegative")
+    return chi_2E + h1_EminusD > chi_minusDminusE
 
 
 def random_polygon(rng: random.Random, max_coord: int = 8, tries: int = 50) -> LatticePolygon:
@@ -128,7 +297,7 @@ def brute_force_contains_translate(p: LatticePolygon, q: LatticePolygon) -> Opti
     for mx in range(qxmin - pxmin, qxmax - pxmax + 1):
         for my in range(qymin - pymin, qymax - pymax + 1):
             m = LatticePoint(mx, my)
-            if all(q.contains_point(v + m) for v in p.vertices):
+            if all(contains_point(q, v + m) for v in p.vertices):
                 return m
     return None
 
@@ -204,7 +373,7 @@ def brute_force_lattice_count(poly: LatticePolygon) -> int:
     """Count lattice points by scanning the bounding box with halfplane tests."""
     xmin, ymin, xmax, ymax = poly.bounding_box
     return sum(
-        poly.contains_point((x, y))
+        contains_point(poly, (x, y))
         for x in range(xmin, xmax + 1)
         for y in range(ymin, ymax + 1)
     )
@@ -466,7 +635,7 @@ def flood_fill_components(
     cells = set()
     for x in range(xmin, xmax + 1):
         for y in range(ymin, ymax + 1):
-            if p_big.contains_point((x, y)) and not q_big.contains_point((x, y)):
+            if contains_point(p_big, (x, y)) and not contains_point(q_big, (x, y)):
                 cells.add((x, y))
     offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     if eight_connected:
@@ -550,7 +719,7 @@ def component_oracle_pairs(rng: random.Random, count: int, max_p: int = 10, max_
         q = random_polygon(rng, max_coord=max_q)
         shift = (rng.randint(-4, max_p), rng.randint(-4, max_p))
         qp = q.translate(shift)
-        if qp.contains_polygon(p):
+        if contains_polygon(qp, p):
             continue
         pxmin, pymin, pxmax, pymax = p.bounding_box
         qxmin, qymin, qxmax, qymax = qp.bounding_box
@@ -600,7 +769,7 @@ def structured_oracle_pairs(rng: random.Random, count: int):
         pxmin, pymin, pxmax, pymax = p.bounding_box
         shift = (rng.randint(-3, pxmax + 1), rng.randint(-3, pymax + 1))
         qp = q.translate(shift)
-        if qp.contains_polygon(p):
+        if contains_polygon(qp, p):
             continue
         qxmin, qymin, qxmax, qymax = qp.bounding_box
         if qxmin > pxmax or qxmax < pxmin or qymin > pymax or qymax < pymin:

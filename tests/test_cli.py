@@ -63,6 +63,23 @@ class TestToricCheck:
         assert code == 1
         assert "convex position" in err
 
+    @pytest.mark.parametrize("vertices", ["[[0,2],[2,0],[0,0]]", "[[0,2],[2,0],[0,0],[0,0]]"])
+    def test_strict_rejects_a_noncanonical_list_of_hull_vertices(self, capsys, vertices):
+        # clockwise and not from the lex-min vertex; then with a repeated vertex
+        poly = '{"vertices":' + vertices + "}"
+        code, out, err = invoke(capsys, "toric-check", "--p", poly, "--q", SQUARE1, "--strict")
+        assert code == 1 and out == ""
+        assert "convex position" in err
+        code, out, _ = invoke(capsys, "toric-check", "--p", poly, "--q", SQUARE1)
+        assert code == 0 and out
+
+    def test_deeply_nested_polygon_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = invoke(capsys, "toric-check", "--p", str(path), "--q", SQUARE1)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed polygon JSON") and "Traceback" not in err
+
     def test_unordered_accepted_without_strict(self, capsys):
         poly = '{"vertices":[[1,1],[0,0],[1,0],[0,1]]}'
         code, out, _ = invoke(capsys, "toric-check", "--p", SQUARE2, "--q", poly, "--json")
@@ -228,6 +245,13 @@ class TestRuled:
         code, out, err = invoke(capsys, "ruled-bound", "--data", str(path), "--d", "10", "--d0", "5")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "object" in err and "Traceback" not in err
+
+    def test_deeply_nested_data_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text('{"a":' * 100_000 + "0" + "}" * 100_000)
+        code, out, err = invoke(capsys, "ruled-schedule", "--data", str(path), "--d", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed data JSON") and "Traceback" not in err
 
     def test_inline_array_is_read_as_json(self, capsys):
         code, out, err = invoke(capsys, "ruled-schedule", "--data", "[1,2]", "--d", "5")

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import random_effective_divisor
+from conftest import chi_criterion_holds, random_effective_divisor
 from sostransfer import delpezzo
 from sostransfer._intlinalg import mat_mul
 from sostransfer.delpezzo import (
@@ -31,7 +31,6 @@ from sostransfer.delpezzo import (
     transfer_sequence,
     transfer_to_json_dict,
 )
-from sostransfer.numerics import chi_criterion_holds
 
 CLASSICAL_CURVE_COUNTS = {3: 27, 4: 16, 5: 10, 6: 6, 7: 3}
 

@@ -1,14 +1,10 @@
+"""The transfer inequality's two integer forms, the test oracles in conftest
+that the acceptance and del Pezzo tests check verdicts against."""
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sostransfer.numerics import (
-    CohomologyInput,
-    ceil_half,
-    chain_total_degree,
-    chi_criterion_holds,
-    conjugation_invariant_length_bound,
-    h0_criterion_holds,
-)
+from conftest import CohomologyInput, ceil_half, chi_criterion_holds, h0_criterion_holds
 
 
 class TestCeilHalf:
@@ -45,33 +41,3 @@ class TestChiCriterion:
         with pytest.raises(ValueError):
             chi_criterion_holds(1, -1, 0)
 
-
-class TestLengthBound:
-    def test_complete_intersection_example(self):
-        # ambient linear dimension 4, quadratic dimension 8
-        assert conjugation_invariant_length_bound(4, 8) == 3
-
-    def test_equal_dims(self):
-        assert conjugation_invariant_length_bound(7, 7) == 1
-
-    def test_odd_gap(self):
-        assert conjugation_invariant_length_bound(3, 10) == 5
-
-    def test_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            conjugation_invariant_length_bound(5, 4)
-
-
-class TestChainTotal:
-    def test_empty(self):
-        assert chain_total_degree([]) == 0
-
-    def test_degree_ten_chain(self):
-        assert chain_total_degree([6, 2]) == 8
-
-    def test_biform_chain(self):
-        assert chain_total_degree([6, 4, 2]) == 12
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            chain_total_degree([3, -1])

@@ -1,7 +1,8 @@
 """Rules the source tree keeps: no floating-point arithmetic in ``src``, no
 ``fractions`` import and no ``Fraction`` name in ``src``, every cache in
-``src`` has an integer bound, and every private module-level name in ``src``
-is read somewhere in ``src``."""
+``src`` has an integer bound, and every module-level name in ``src`` is read
+somewhere in ``src``.  The package's import list in ``__init__.py`` is the API
+declaration: a public name it imports counts as read."""
 
 import ast
 from pathlib import Path
@@ -83,15 +84,18 @@ def _unbounded_caches(tree: ast.AST) -> list[str]:
     return found
 
 
-def _orphaned_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Private module-level functions, classes and constants (one leading
-    underscore) that no code in trees reads, as "module:name".  A read is a
-    loaded name or an attribute outside the name's own top-level statement,
-    so a helper that only calls itself counts as orphaned."""
+def _orphaned_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level functions, classes and constants, private or public but
+    not dunder, that no code in trees reads, as "module:name".  A read is a
+    loaded name or an attribute outside the name's own top-level statement
+    (so a helper that only calls itself counts as orphaned), or an import in
+    ``__init__.py``, which exports the name."""
     defined = []
     reads: set[str] = set()
     for module, tree in trees.items():
         for node in tree.body:
+            if module == "__init__.py" and isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = {node.name}
             elif isinstance(node, ast.Assign):
@@ -100,7 +104,7 @@ def _orphaned_private_names(trees: dict[str, ast.Module]) -> list[str]:
                 own = {node.target.id}
             else:
                 own = set()
-            defined += [(module, name) for name in own if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, name) for name in own if not name.startswith("__")]
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in own:
                     reads.add(sub.id)
@@ -137,7 +141,8 @@ def test_src_caches_are_bounded():
 
 
 def test_src_private_names_are_read():
-    assert _orphaned_private_names(_src_trees()) == []
+    """Private and public names alike: the rule reads both."""
+    assert _orphaned_names(_src_trees()) == []
 
 
 def test_the_orphan_rule_catches_unused_helpers():
@@ -152,13 +157,25 @@ def test_the_orphan_rule_catches_unused_helpers():
         "def _by_attribute(): pass\n"
         "def public(): return _called()\n"
     )
-    caller = ast.parse("import helpers\nx = helpers._by_attribute()\n")
-    assert _orphaned_private_names({"helpers.py": helpers, "caller.py": caller}) == [
+    caller = ast.parse("import helpers\nhelpers._by_attribute()\nhelpers.public()\n")
+    assert _orphaned_names({"helpers.py": helpers, "caller.py": caller}) == [
         "helpers.py:_Gone",
         "helpers.py:_LIMIT",
         "helpers.py:_orphan",
         "helpers.py:_self",
     ]
+
+
+def test_the_orphan_rule_reads_the_package_exports():
+    helpers = ast.parse(
+        "LIMIT = 3\n"
+        "def orphan(): return LIMIT\n"
+        "def exported(): pass\n"
+        "class Used: pass\n"
+        "def caller(): return Used()\n"
+    )
+    package = ast.parse("from .helpers import caller, exported\n__version__ = '1'\n")
+    assert _orphaned_names({"helpers.py": helpers, "__init__.py": package}) == ["helpers.py:orphan"]
 
 
 def test_the_rule_catches_each_kind():

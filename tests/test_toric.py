@@ -10,7 +10,6 @@ from sostransfer.lattice import (
     LatticeGeometryError,
     LatticePolygon,
     TranslateContainmentError,
-    dilate,
     rectangle,
     veronese_triangle,
     wide_prism,
@@ -29,15 +28,16 @@ from sostransfer.toric import (
     plan_transfer,
     transfer_check,
     trapezoid,
-    veronese_step_counts,
 )
 
 from conftest import (
     brute_force_component_total,
     built_polygon_verdict,
+    dilate,
     lattice_points,
     plan_corpus,
     total_or_containment,
+    veronese_step_counts,
 )
 
 FIGURE_PRISM = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
