@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Reads polygon, surface, and ruled-surface data, dispatches to the library,
-and emits either human-readable tables or JSON.  Exit codes: 0 on success,
+and prints the one document of the answer: with ``--json`` as compact JSON
+on one line, otherwise as one ``key: value`` line per top-level field (or
+``i: item`` from 1, for the catalogue's list), each value in JSON, so the
+text shows every field the JSON holds.  Exit codes: 0 on success,
 1 on malformed input or on work past a budget (a polygon pair too tall to
 scan, a toric chain, a del Pezzo walk or a ruled ladder with too many
 steps), 2 when a criterion or algorithm is inapplicable to the given input
@@ -12,6 +15,7 @@ inapplicability is not a negative verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -32,8 +36,15 @@ class CliInputError(ValueError):
     pass
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _emit(doc, as_json: bool) -> None:
+    """Print an answer: its compact JSON on one line, or one line per
+    top-level field, ``key: value`` (``i: item`` from 1 for a list), with
+    the value in JSON."""
+    if as_json:
+        print(json.dumps(doc, separators=(",", ":")))
+        return
+    for key, value in enumerate(doc, 1) if isinstance(doc, list) else doc.items():
+        print(f"{key}: {json.dumps(value)}")
 
 
 def _read_json(source: str, what: str):
@@ -90,147 +101,57 @@ def _ruled_data(args) -> ruled.RuledData:
     return ruled.RuledData.from_json_dict(_read_json(args.data, "data"))
 
 
-# -- subcommands ----------------------------------------------------------------
+# -- subcommands: each returns the one document of its answer -----------------
 
 
-def _cmd_toric_check(args) -> int:
+def _cmd_toric_check(args) -> dict:
     p = parse_polygon(args.p, args.strict)
     q = parse_polygon(args.q, args.strict)
-    verdict = toric.transfer_check(p, q)
-    if args.json:
-        _emit_json(toric.verdict_to_json_dict(verdict))
-    else:
-        print(f"count(2Q)    = {verdict.count_2Q}")
-        print(f"h            = {verdict.h}")
-        print(f"interior(P+Q)= {verdict.interior_PQ}")
-        print(f"margin       = {verdict.margin}")
-        print(f"holds        = {'yes' if verdict.holds else 'no'}")
-    return 0
+    return toric.verdict_to_json_dict(toric.transfer_check(p, q))
 
 
-def _cmd_toric_plan(args) -> int:
+def _cmd_toric_plan(args) -> dict:
     p = parse_polygon(args.p, args.strict)
     families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    plan = toric.plan_transfer(p, families=families)
-    if args.json:
-        _emit_json(toric.plan_to_json_dict(plan))
-    else:
-        _print_plan(plan)
-    return 0
+    return toric.plan_to_json_dict(toric.plan_transfer(p, families=families))
 
 
-def _print_plan(plan: toric.TransferPlan, extra: str = "") -> None:
-    for i, s in enumerate(plan.steps, 1):
-        pv = [tuple(v) for v in s.p.vertices]
-        qv = [tuple(v) for v in s.q.vertices]
-        note = f" [{s.note}]" if s.note else ""
-        print(
-            f"step {i}{note}: P={pv} -> Q={qv}  "
-            f"count2q={s.verdict.count_2Q} h={s.verdict.h} "
-            f"interior={s.verdict.interior_PQ} margin={s.verdict.margin}"
-        )
-    print(f"terminal kind: {plan.terminal_kind}")
-    print(f"total multiplier degree: {plan.total_multiplier_degree}")
-    if extra:
-        print(extra)
-
-
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> dict:
     if args.improved:
         plan, budget = toric.improved_ternary_bound(args.d)
-        if args.json:
-            payload = toric.plan_to_json_dict(plan)
-            payload["budget_degree"] = budget
-            payload["classic_bound"] = toric.hilbert_classic_bound(args.d)
-            _emit_json(payload)
-        else:
-            _print_plan(plan, extra=f"degree budget (polygon units): {budget}")
-            print(f"classic bound: {toric.hilbert_classic_bound(args.d)}")
+        doc = toric.plan_to_json_dict(plan)
+        doc["budget_degree"] = budget
     else:
-        plan = toric.hilbert_classic_plan(args.d)
-        if args.json:
-            payload = toric.plan_to_json_dict(plan)
-            payload["classic_bound"] = toric.hilbert_classic_bound(args.d)
-            _emit_json(payload)
-        else:
-            _print_plan(plan)
-    return 0
+        doc = toric.plan_to_json_dict(toric.hilbert_classic_plan(args.d))
+    doc["classic_bound"] = toric.hilbert_classic_bound(args.d)
+    return doc
 
 
-def _cmd_delpezzo_catalog(args) -> int:
-    rows = []
-    for name, degree, rho, n_real in delpezzo.CATALOGUE_TABLE:
-        surface = delpezzo.surface_from_name(name)
-        rows.append(
-            {
-                "name": name,
-                "degree": degree,
-                "real_rank": rho,
-                "real_minus_one_curves": n_real,
-                "rank": surface.rank,
-            }
-        )
-    if args.json:
-        _emit_json(rows)
-    else:
-        print(f"{'name':10s} {'degree':>6s} {'rho(R)':>6s} {'# real (-1)':>11s}")
-        for row in rows:
-            print(
-                f"{row['name']:10s} {row['degree']:6d} {row['real_rank']:6d} "
-                f"{row['real_minus_one_curves']:11d}"
-            )
-    return 0
+def _cmd_delpezzo_catalog(args) -> list:
+    return [
+        {
+            "name": name,
+            "degree": degree,
+            "real_rank": rho,
+            "real_minus_one_curves": n_real,
+            "rank": delpezzo.surface_from_name(name).rank,
+        }
+        for name, degree, rho, n_real in delpezzo.CATALOGUE_TABLE
+    ]
 
 
-def _cmd_delpezzo_transfer(args) -> int:
+def _cmd_delpezzo_transfer(args) -> dict:
     surface = delpezzo.surface_from_name(args.surface)
     divisor = _parse_divisor(args.divisor, surface)
-    transfer = delpezzo.transfer_sequence(surface, divisor)
-    if args.json:
-        _emit_json(delpezzo.transfer_to_json_dict(transfer))
-    else:
-        print(f"surface: {transfer.surface}   divisor: {list(transfer.start)}")
-        for i, st in enumerate(transfer.steps, 1):
-            witness = [list(w) for w in st.witness]
-            print(f"step {i}: {st.kind} on {st.surface}  D={list(st.divisor)}  witness={witness}")
-        print(f"terminal kind: {transfer.terminal_kind}")
-        print(f"certificate kind: {transfer.certificate_kind}")
-        print(f"multiplier chain length: {transfer.chain_length}")
-    return 0
+    return delpezzo.transfer_to_json_dict(delpezzo.transfer_sequence(surface, divisor))
 
 
-def _cmd_ruled_schedule(args) -> int:
-    data = _ruled_data(args)
-    schedule = ruled.build_schedule(data, args.d)
-    if args.json:
-        _emit_json(schedule.to_json_dict())
-    else:
-        print(f"mode: {schedule.mode}   s = {schedule.s}   t = {schedule.t} (generic t = {schedule.generic_t})")
-        print(f"ladder: {[list(r) for r in schedule.ladder]}")
-        print(f"step margins: {list(schedule.step_margins)}  final margin: {schedule.final_margin}")
-        print("note: ell taken on trust (no negative-class data)")
-    return 0
+def _cmd_ruled_schedule(args) -> dict:
+    return ruled.build_schedule(_ruled_data(args), args.d).to_json_dict()
 
 
-def _cmd_ruled_bound(args) -> int:
-    data = _ruled_data(args)
-    bound = ruled.multiplier_degree_bound(data, args.d, args.d0)
-    if args.json:
-        _emit_json(
-            {
-                "d": bound.d,
-                "d0": bound.d0,
-                "total_H_degree": bound.total_H_degree,
-                "steps_counted": bound.steps_counted,
-                "steps_per_level": bound.steps_per_level,
-                "steps_quoted": bound.steps_quoted,
-            }
-        )
-    else:
-        print(f"total H-degree of the multiplier chain: {bound.total_H_degree}")
-        print(f"ladder steps counted: {bound.steps_counted} ({bound.steps_per_level} per level)")
-        print(f"looser quoted step count: {bound.steps_quoted}")
-    return 0
+def _cmd_ruled_bound(args) -> dict:
+    return dataclasses.asdict(ruled.multiplier_degree_bound(_ruled_data(args), args.d, args.d0))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,7 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_delpezzo_transfer)
 
-    sp = sub.add_parser("ruled-schedule", help="one-degree transfer ladder on a blow-up")
+    sp = sub.add_parser(
+        "ruled-schedule",
+        help="one-degree transfer ladder on a blow-up",
+        description="one-degree transfer ladder on a blow-up; ell is taken on trust (no negative-class data)",
+    )
     sp.add_argument("--data", help="ruled data JSON (inline or file path)")
     sp.add_argument("--elliptic", action="store_true", help="use the elliptic product preset")
     sp.add_argument("--d", type=int, required=True)
@@ -314,7 +239,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        doc = args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -324,6 +249,8 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(doc, args.json)
+    return 0
 
 
 def main() -> None:

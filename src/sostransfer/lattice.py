@@ -21,6 +21,7 @@ computed once too.
 
 from __future__ import annotations
 
+import reprlib
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -226,7 +227,7 @@ class LatticePolygon:
                 or len(v) != 2
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in v)
             ):
-                raise LatticeGeometryError(f"field 'vertices' must hold integer pairs, got {v!r}")
+                raise LatticeGeometryError(f"field 'vertices' must hold integer pairs, got {reprlib.repr(v)}")
         return cls(verts)
 
 

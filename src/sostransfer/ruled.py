@@ -12,6 +12,7 @@ have a schedule one isqrt block at a time, without building ladders.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,11 +27,10 @@ class ScheduleError(ValueError):
 
 
 #: The most ladder steps one call may build or read: a ladder of t steps is
-#: refused before it reaches t > MAX_LADDER_STEPS, a degree bound whose
-#: levels hold more steps before it checks the first, and the block scan of
-#: ``minimal_d`` (t steps per block) once it passes the budget.  t grows like
-#: e^(2 sqrt(s)), so without the budget a moderate s or a long degree range
-#: would run for hours.
+#: refused before it reaches t > MAX_LADDER_STEPS, and the block scans of
+#: ``minimal_d`` and ``multiplier_degree_bound`` (t steps read per block)
+#: once they pass the budget.  t grows like e^(2 sqrt(s)), so without the
+#: budget a moderate s or a long degree range would run for hours.
 MAX_LADDER_STEPS = 500_000
 
 #: The fields of ruled data JSON, in the order of ``RuledData``.
@@ -86,7 +86,7 @@ class RuledData:
                 raise RuledDataError(f"missing field {name!r}")
             value = data[name]
             if isinstance(value, bool) or not isinstance(value, int):
-                raise RuledDataError(f"field {name!r} must be an integer, got {value!r}")
+                raise RuledDataError(f"field {name!r} must be an integer, got {reprlib.repr(value)}")
         return cls(*(data[name] for name in _JSON_FIELDS))
 
 
@@ -372,23 +372,25 @@ def multiplier_degree_bound(data: RuledData, d: int, d0: int) -> DegreeBound:
     A level's ladder of t steps (t = 1 in elliptic mode) plus the descent
     has multipliers on twice each step's target divisor, so it contributes
     t * delta + (delta - 1); the total is summed in closed form.  The
-    base-case constant is kept symbolic (zero here).  When the levels would
-    span more than ``MAX_LADDER_STEPS`` ladder steps the call is refused up
-    front with RuledDataError, and so is a reversed range, d < d0.
+    base-case constant is kept symbolic (zero here).  Each generic block
+    read charges its t ladder steps, as in ``minimal_d``, and a read past
+    ``MAX_LADDER_STEPS`` of them is refused with RuledDataError; the one
+    elliptic check charges none.  A reversed range, d < d0, is refused too.
     """
     if d < d0:
         raise RuledDataError("d must be at least d0")
     t = minimal_transfer_t(minimal_transfer_s(data))
     per_level = (1 if data.elliptic_mode else t) + 1
-    if (d - d0) * per_level > MAX_LADDER_STEPS:
-        raise RuledDataError(
-            f"{d - d0} levels of {per_level} steps exceed the budget of {MAX_LADDER_STEPS} ladder steps"
-        )
-    level = d
+    level, steps_read = d, 0
     while level > d0:
         if data.elliptic_mode:
             lo, hi = minimal_d(data), level
         else:
+            steps_read += t
+            if steps_read > MAX_LADDER_STEPS:
+                raise RuledDataError(
+                    f"the levels from {d} down to {d0} read more than the budget of {MAX_LADDER_STEPS} ladder steps"
+                )
             lo, hi = _block(data, math.isqrt(max(2 * level * data.minusK_dot_H - data.chiO, 0)), t)[2:]
         if not lo <= level <= hi:
             build_schedule(data, level)  # raises its own ScheduleError

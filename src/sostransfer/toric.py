@@ -16,7 +16,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .lattice import (
     LatticePolygon,
-    TranslateContainmentError,
     DegeneratePolygonError,
     inside_translate_count,
     is_lawrence_prism,
@@ -305,26 +304,6 @@ def hilbert_classic_plan(d: int) -> TransferPlan:
 _CLOSE_AT_OR_BELOW = 5
 
 
-def _closing_candidates(dmax: int) -> list[LatticePolygon]:
-    """Terminal polygons worth trying from a trapezoid of degree dmax,
-    ordered by multiplier degree then shape."""
-    cands: list[tuple[tuple[int, int, int], LatticePolygon]] = []
-    seen = set()
-    for k in (1, 2):
-        tri = veronese_triangle(k)
-        cands.append(((k, k, k), tri))
-        seen.add(tri)
-    for h1 in range(1, dmax + 1):
-        for h2 in range(0, h1 + 1):
-            q = wide_prism(h1, h2)
-            if q.dim != 2 or q in seen:
-                continue
-            seen.add(q)
-            cands.append(((max(h1, h2 + 1), h1, h2), q))
-    cands.sort(key=lambda t: t[0])
-    return [q for _, q in cands]
-
-
 @lru_cache(maxsize=2048)
 def _pipeline_step(d: int, m: int) -> PlanStep:
     """The corner-biting pipeline's step from the trapezoid state T(d, m).
@@ -335,18 +314,15 @@ def _pipeline_step(d: int, m: int) -> PlanStep:
     points and no row of the interior more than d - 1, so the margin is
     m² - m2² + 6d - m - m2 - 1: positive exactly while m2 (m2 + 1) <=
     m² - m + 6d - 2.  Degree drops go three at a time while the cut lasts;
-    once the degree is small a direct step onto a prism or twice the unit
-    triangle closes the chain.  Steps are memoized per state in a bounded
-    LRU, so the chains of nearby degrees share their tails.
+    once the degree is small a direct step onto the cheapest passing
+    terminal candidate, a prism or twice the unit triangle, closes the
+    chain.  Steps are memoized per state in a bounded LRU, so the chains of
+    nearby degrees share their tails.
     """
     cur = trapezoid(d, m)
     if d <= _CLOSE_AT_OR_BELOW:
-        for cand in _closing_candidates(d):
-            try:
-                verdict = transfer_check(cur, cand)
-            except TranslateContainmentError:
-                continue
-            if verdict.holds:
+        for cand, _, terminal in _family_candidates(("prisms", "veronese"), "ternary", d, d - m, d):
+            if terminal and (verdict := transfer_check(cur, cand)).holds:
                 return PlanStep(cur, cand, verdict, note="close")
     if m < 3:
         q = trapezoid(d, min(d - 1, (isqrt(4 * (m * m - m + 6 * d - 2) + 1) - 1) // 2))
@@ -400,7 +376,9 @@ def _family_candidates(
     ternary context, w + hgt in biform), ordered by degree then vertex list.
     The candidates depend on a state only through its bounding width w and
     height hgt and its ternary degree kmax, so they are built once per such
-    key."""
+    key.  No candidate holds a lattice translate of the state, so none is
+    refused for translate containment: a polygon that holds a translate of
+    P has at least P's ternary degree and box side sum."""
     cur_deg = 2 * kmax if context == "ternary" else w + hgt
     out: dict[LatticePolygon, tuple[LatticePolygon, int, bool]] = {}
 
@@ -454,10 +432,7 @@ def _greedy_step(cur: LatticePolygon, families: tuple[str, ...], ctx: str) -> Op
                 continue
             if level is not None and deg > level:
                 break
-            try:
-                verdict = transfer_check(cur, q)
-            except TranslateContainmentError:
-                continue
+            verdict = transfer_check(cur, q)
             if not verdict.holds:
                 continue
             key = ((-verdict.margin), q.vertices)

@@ -12,7 +12,6 @@ from conftest import random_effective_divisor
 from sostransfer.cli import run as cli_run
 from sostransfer.delpezzo import (
     CATALOGUE_TABLE,
-    catalogue,
     real_negative_curves,
     surface_from_name,
     transfer_sequence,
@@ -50,7 +49,6 @@ from conftest import (
     dilate,
     edge_direction_multiset,
     ehrhart_quadratic,
-    flood_fill_components,
     h0_criterion_holds,
     random_polygon,
     shoelace_area_twice,

@@ -80,6 +80,16 @@ class TestToricCheck:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed polygon JSON") and "Traceback" not in err
 
+    def test_bad_values_are_echoed_short(self, capsys, tmp_path):
+        # a field JSON parses but the reader refuses is quoted in brief
+        path = tmp_path / "p.json"
+        path.write_text('{"vertices":[' + "[" * 985 + "]" * 985 + "]}")
+        data = '{"minusK_dot_H":"' + "x" * 5000 + '","H_dot_HplusK":0,"chiO":0,"ell":1}'
+        for argv in (("toric-check", "--p", str(path), "--q", SQUARE1), ("ruled-schedule", "--data", data, "--d", "5")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
     def test_unordered_accepted_without_strict(self, capsys):
         poly = '{"vertices":[[1,1],[0,0],[1,0],[0,1]]}'
         code, out, _ = invoke(capsys, "toric-check", "--p", SQUARE2, "--q", poly, "--json")
@@ -118,7 +128,7 @@ class TestHilbert:
     def test_improved_degree_five(self, capsys):
         code, out, _ = invoke(capsys, "hilbert", "--d", "5", "--improved")
         assert code == 0
-        assert "total multiplier degree: 6" in out
+        assert "total_degree: 6" in out
         assert "lawrence_prism" in out
 
     def test_improved_json(self, capsys):
@@ -178,6 +188,12 @@ class TestDelPezzo:
         )
         assert code == 2
         assert "not effective" in err
+
+    def test_not_nef_without_a_negative_curve_exits_two(self, capsys):
+        # -K.D = 2, but D is not nef and Q22 has no (-1)-curve to subtract
+        code, out, err = invoke(capsys, "delpezzo-transfer", "--surface", "Q22", "--divisor", "2,-1")
+        assert code == 2 and out == ""
+        assert err == "not applicable: not effective\n"
 
     def test_walk_past_the_step_budget_exits_one(self, capsys):
         # 20000 H on the plane ends at zero after more than MAX_WALK_STEPS
@@ -276,10 +292,14 @@ class TestRuled:
         assert err.startswith("not applicable:") and "d = 2285826600" in err and "k_190 misses its lower bound" in err
 
     def test_long_degree_range_is_refused(self, capsys):
+        # an elliptic chain is one check at any length; a generic one reads
+        # a block per isqrt value, about 9 * 10^7 blocks of 190 steps here
+        code, out, _ = invoke(capsys, "ruled-bound", "--elliptic", "--d", "1000000000", "--d0", "5", "--json")
+        assert code == 0
+        assert json.loads(out)["total_H_degree"] == 999_999_999_999_999_975
+        data = '{"minusK_dot_H":4,"H_dot_HplusK":4,"chiO":-2,"ell":2}'
         start = time.perf_counter()
-        code, out, err = invoke(
-            capsys, "ruled-bound", "--elliptic", "--d", "1000000000", "--d0", "5"
-        )
+        code, out, err = invoke(capsys, "ruled-bound", "--data", data, "--d", str(10**15), "--d0", "2620156050")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
@@ -288,6 +308,48 @@ class TestRuled:
         code, _, err = invoke(capsys, "ruled-schedule", "--d", "5")
         assert code == 1
         assert "data" in err
+
+
+class TestTextMode:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("toric-check", "--p", SQUARE2, "--q", SQUARE1),
+            ("toric-plan", "--p", '{"vertices":[[0,0],[4,0],[0,4]]}'),
+            ("hilbert", "--d", "5", "--improved"),
+            ("hilbert", "--d", "6"),
+            ("delpezzo-catalog",),
+            ("delpezzo-transfer", "--surface", "Q31(0,2)", "--divisor", "-K"),
+            ("ruled-schedule", "--elliptic", "--d", "7"),
+            ("ruled-bound", "--elliptic", "--d", "10", "--d0", "5"),
+        ],
+        ids=[
+            "toric-check",
+            "toric-plan",
+            "hilbert-improved",
+            "hilbert-classic",
+            "delpezzo-catalog",
+            "delpezzo-transfer",
+            "ruled-schedule",
+            "ruled-bound",
+        ],
+    )
+    def test_text_lines_rebuild_the_json_document(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv, "--json")
+        assert code == 0 and out.count("\n") == 1
+        code, text, _ = invoke(capsys, *argv)
+        assert code == 0
+        pairs = [line.split(": ", 1) for line in text.splitlines()]
+        doc = {key: json.loads(value) for key, value in pairs}
+        assert len(doc) == len(pairs)
+        if out.startswith("["):
+            assert list(doc) == [str(i) for i in range(1, len(doc) + 1)]
+            doc = list(doc.values())
+        assert json.dumps(doc, separators=(",", ":")) + "\n" == out
+
+    def test_schedule_help_says_ell_is_trusted(self, capsys):
+        code, out, _ = invoke(capsys, "ruled-schedule", "--help")
+        assert code == 0 and "ell is taken on trust" in " ".join(out.split())
 
 
 class TestRoundTrip:

@@ -19,7 +19,6 @@ from sostransfer.delpezzo import (
     catalogue,
     certificate_kind,
     chi,
-    conic_bundle_classes,
     conic_bundles_real,
     contract_along,
     interval_kind,

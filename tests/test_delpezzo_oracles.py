@@ -277,3 +277,12 @@ class TestReferenceWalk:
                         corpus += [(s, tuple(x + k * y for x, y in zip(d, e))) for k in range(1, 7)]
         kinds = _kinds_against_reference(corpus)
         assert kinds["subtract_negative_curve"] > 2_000 and kinds["ample_step"] > 2_000
+
+    def test_not_nef_without_a_negative_curve(self):
+        # on Q22, D = (2, -1) has -K.D = 2 and is not nef, and there is no
+        # (-1)-curve to subtract: the walk finds no witness
+        s, d = surface_from_name("Q22"), (2, -1)
+        assert not is_nef(s, d) and not minus_one_curves(s)
+        assert delpezzo._negative_curve_witness(s, d) is None
+        outcome = ("NotEffectiveError", "not effective")
+        assert _walk_outcome(transfer_sequence, s, d) == _walk_outcome(reference_transfer_sequence, s, d) == outcome

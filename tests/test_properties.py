@@ -34,9 +34,7 @@ from conftest import (
     difference_components,
     dilate,
     edge_direction_multiset,
-    edges_share_a_line,
     ehrhart_quadratic,
-    flood_fill_components,
     is_lattice_equivalent,
     lattice_points,
     random_polygon,

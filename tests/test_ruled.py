@@ -324,11 +324,17 @@ class TestDegreeBound:
             multiplier_degree_bound(ELLIPTIC, 5, 6)
 
     def test_ladder_step_budget(self, monkeypatch):
-        # (d - d0) levels of 2 steps each against the budget
-        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 100)
-        assert multiplier_degree_bound(ELLIPTIC, 55, 5).steps_counted == 100
+        # every level from minimal_d on has a schedule, so the chain reads
+        # each isqrt block of its levels once, t = 82 ladder steps a block;
+        # the elliptic check reads no block and charges nothing
+        data, d0 = RuledData(20_000, 0, 1, 3), 995_535
+        blocks = len({isqrt(2 * level * 20_000 - 1) for level in range(d0 + 1, d0 + 101)})
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", blocks * 82)
+        assert multiplier_degree_bound(data, d0 + 100, d0).steps_counted == 83 * 100
+        assert multiplier_degree_bound(ELLIPTIC, 10**9, 5).total_H_degree == 10**18 - 25
+        monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", blocks * 82 - 1)
         with pytest.raises(RuledDataError, match="budget"):
-            multiplier_degree_bound(ELLIPTIC, 56, 5)
+            multiplier_degree_bound(data, d0 + 100, d0)
         monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 82)
         assert minimal_transfer_t.__wrapped__(1) == 82
         monkeypatch.setattr(ruled, "MAX_LADDER_STEPS", 81)

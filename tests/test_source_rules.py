@@ -2,12 +2,14 @@
 ``fractions`` import and no ``Fraction`` name in ``src``, every cache in
 ``src`` has an integer bound, and every module-level name in ``src`` is read
 somewhere in ``src``.  The package's import list in ``__init__.py`` is the API
-declaration: a public name it imports counts as read."""
+declaration: a public name it imports counts as read.  Every name a test module
+imports is read in that module."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sostransfer"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sostransfer"
 FLOAT_MATH = {"sqrt", "exp", "log", "pow"}
 
 
@@ -113,6 +115,19 @@ def _orphaned_names(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(f"{module}:{name}" for module, name in defined if name not in reads)
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports, ``from __future__`` aside, that it never
+    loads; ``import a.b`` binds and is read through ``a``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.partition(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} at line {line}" for name, line in imported.items() if name not in loaded)
+
+
 def _src_trees() -> dict[str, ast.Module]:
     files = sorted(SRC.glob("*.py"))
     assert files
@@ -143,6 +158,26 @@ def test_src_caches_are_bounded():
 def test_src_private_names_are_read():
     """Private and public names alike: the rule reads both."""
     assert _orphaned_names(_src_trees()) == []
+
+
+def test_test_imports_are_read():
+    found = {}
+    for path in sorted(TESTS.glob("*.py")):
+        unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if unused:
+            found[path.name] = unused
+    assert found == {}
+
+
+def test_the_import_rule_catches_an_unused_import():
+    code = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import gcd, isqrt\n"
+        "def f(): return os.path.join(js.dumps(gcd(4, 6)))\n"
+    )
+    assert _unused_imports(ast.parse(code)) == ["isqrt at line 4"]
 
 
 def test_the_orphan_rule_catches_unused_helpers():

@@ -17,7 +17,6 @@ from sostransfer.lattice import (
 from sostransfer import toric
 from sostransfer.toric import (
     NoPlanError,
-    PipelineStepError,
     ToricTransferError,
     TransferVerdict,
     hilbert_classic_bound,
