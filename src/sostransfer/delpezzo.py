@@ -59,6 +59,12 @@ def _nonzero_entries(m: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], 
     return tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
 
 
+def _fixed_rank(tau: Sequence[Sequence[int]]) -> int:
+    """Rank of the lattice an involution fixes: the kernel of tau - I."""
+    diff = [[t - (1 if i == j else 0) for j, t in enumerate(row)] for i, row in enumerate(tau)]
+    return len(kernel_basis(diff, len(tau)))
+
+
 def _apply_entries(entries: tuple[tuple[int, int, int], ...], n: int, d: Sequence[int]) -> Divisor:
     """The matrix with the given nonzero entries applied to d."""
     out = [0] * n
@@ -210,8 +216,7 @@ class SurfaceModel:
 
     @property
     def real_rank(self) -> int:
-        diff = [[t - (1 if i == j else 0) for j, t in enumerate(row)] for i, row in enumerate(self.tau)]
-        return len(kernel_basis(diff, self.rank))
+        return _fixed_rank(self.tau)
 
     def validate(self) -> None:
         n = self.rank
@@ -764,7 +769,7 @@ def _contract(s: SurfaceModel, curve_list: tuple[Divisor, ...]) -> Contraction:
     # a marked isometry keeps the degree, the real rank and the real
     # (-1)-curves, which are those of s orthogonal to the curves; no two
     # catalogue rows share all three
-    rho2 = SurfaceModel("?", degree2, ("?",) * k, gram2, k2, tau2).real_rank
+    rho2 = _fixed_rank(tau2)
     reals, _ = real_negative_curves(s)
     n_reals2 = sum(1 for r in reals if all(s.intersect(r, c) == 0 for c in curve_list))
     for name, *invariants in CATALOGUE_TABLE:

@@ -1,4 +1,8 @@
-"""Exact geometry of convex lattice polygons.
+"""Exact geometry of full-dimensional convex lattice polygons.
+
+A ``LatticePolygon`` is full-dimensional by construction: the hull refuses
+a point or a segment, so Pick's theorem holds for every polygon and no
+count below has a degenerate case.
 
 Everything in this module is integer arithmetic: convex hulls, Minkowski
 sums, closed-form lattice-point counts, translate containment as one exact
@@ -36,7 +40,7 @@ class EmptyPointSetError(LatticeGeometryError):
 
 
 class DegeneratePolygonError(LatticeGeometryError):
-    """Raised when an operation requires a full-dimensional polygon."""
+    """Raised when the hull of a point set is a point or a segment."""
 
 
 class TranslateContainmentError(LatticeGeometryError):
@@ -77,14 +81,12 @@ def _cross(o: LatticePoint, a: LatticePoint, b: LatticePoint) -> int:
 def _hull_vertices(points: Sequence[LatticePoint]) -> tuple[LatticePoint, ...]:
     """Strictly convex hull in CCW order, starting at the lex-min vertex.
 
-    Collinear points are dropped so the vertex list is canonical.  Degenerate
-    inputs yield a single point or the two endpoints of a segment.
+    Collinear points are dropped so the vertex list is canonical.  A hull
+    of fewer than three vertices is a point or a segment, and is refused.
     """
     pts = sorted(set(points))
     if not pts:
         raise EmptyPointSetError("empty point set")
-    if len(pts) == 1:
-        return (pts[0],)
     lower: list[LatticePoint] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -95,19 +97,15 @@ def _hull_vertices(points: Sequence[LatticePoint]) -> tuple[LatticePoint, ...]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    if len(lower) == 2 and len(upper) == 2:
-        # All points collinear: keep the two extreme endpoints.
-        return (pts[0], pts[-1])
-    return tuple(lower[:-1] + upper[:-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise DegeneratePolygonError("the vertices span a point or a segment, not a full-dimensional polygon")
+    return tuple(hull)
 
 
 class LatticePolygon:
-    """A convex polygon with integer vertices in canonical CCW form.
-
-    Degenerate polygons (a single point, a segment) are representable; they
-    are flagged by :attr:`dim` and rejected by the operations that need full
-    dimension.
-    """
+    """A full-dimensional convex polygon with integer vertices in canonical
+    CCW form: at least three vertices, no three on one line."""
 
     def __init__(self, vertices: Iterable) -> None:
         pts = [_as_point(p) for p in vertices]
@@ -121,28 +119,16 @@ class LatticePolygon:
 
     # -- basic structure ---------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        n = len(self.vertices)
-        return 2 if n >= 3 else n - 1
-
     @cached_property
     def twice_area(self) -> int:
         v = self.vertices
         n = len(v)
-        if n < 3:
-            return 0
         return sum(v[i].x * v[(i + 1) % n].y - v[(i + 1) % n].x * v[i].y for i in range(n))
 
     @cached_property
     def edges(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
         v = self.vertices
-        n = len(v)
-        if n == 1:
-            return ()
-        if n == 2:
-            return ((v[0], v[1]),)
-        return tuple((v[i], v[(i + 1) % n]) for i in range(n))
+        return tuple(zip(v, v[1:] + v[:1]))
 
     @cached_property
     def bounding_box(self) -> tuple[int, int, int, int]:
@@ -184,11 +170,6 @@ class LatticePolygon:
 
     @cached_property
     def boundary_lattice_point_count(self) -> int:
-        if self.dim == 0:
-            return 1
-        if self.dim == 1:
-            a, b = self.vertices
-            return gcd(abs(b.x - a.x), abs(b.y - a.y)) + 1
         return sum(gcd(abs(b.x - a.x), abs(b.y - a.y)) for a, b in self.edges)
 
     @cached_property
@@ -198,14 +179,10 @@ class LatticePolygon:
         Pick's theorem, 2A = 2I + B - 2, in closed form: (2A + B)/2 + 1,
         O(edges) whatever the size of the polygon.
         """
-        if self.dim < 2:
-            return self.boundary_lattice_point_count
         return (self.twice_area + self.boundary_lattice_point_count) // 2 + 1
 
     @cached_property
     def interior_lattice_point_count(self) -> int:
-        if self.dim < 2:
-            return 0
         return self.lattice_point_count - self.boundary_lattice_point_count
 
     # -- JSON ----------------------------------------------------------------
@@ -235,13 +212,8 @@ class LatticePolygon:
 
 
 def _edge_vectors(poly: LatticePolygon) -> list[tuple[int, int]]:
-    """Edge vectors in CCW order from the lex-min vertex; a segment has two
-    opposite ones and a point none."""
-    v = poly.vertices
-    n = len(v)
-    if n == 1:
-        return []
-    return [(v[(i + 1) % n].x - v[i].x, v[(i + 1) % n].y - v[i].y) for i in range(n)]
+    """Edge vectors in CCW order from the lex-min vertex."""
+    return [(b.x - a.x, b.y - a.y) for a, b in poly.edges]
 
 
 def _turn_key(e: tuple[int, int]) -> int:
@@ -296,7 +268,7 @@ def minkowski_sum(p: LatticePolygon, q: LatticePolygon) -> LatticePolygon:
 
 
 def minkowski_lattice_point_count(p: LatticePolygon, q: LatticePolygon) -> int:
-    """#L(P + Q) for full-dimensional P and Q, without building P + Q.
+    """#L(P + Q), without building P + Q.
 
     Twice the area of P + Q is A2(P) + A2(Q) plus twice the mixed area,
     2 sum_j max_{v in P} (e_j,y v.x - e_j,x v.y) over the edge vectors e_j of
@@ -305,8 +277,6 @@ def minkowski_lattice_point_count(p: LatticePolygon, q: LatticePolygon) -> int:
     ones joined, so B(P + Q) = B(P) + B(Q), and Pick's theorem gives
     #L = (A2 + B)/2 + 1.
     """
-    if p.dim != 2 or q.dim != 2:
-        raise DegeneratePolygonError("Minkowski counts need full-dimensional polygons")
     mixed = sum(max((b.y - a.y) * v.x - (b.x - a.x) * v.y for v in p.vertices) for a, b in q.edges)
     twice_area = p.twice_area + q.twice_area + 2 * mixed
     return (twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count) // 2 + 1
@@ -323,11 +293,10 @@ def contains_lattice_translate(p: LatticePolygon, q: LatticePolygon) -> Optional
 
     P + m lies in Q exactly when m lies in the box that the bounding boxes
     allow and n.m >= c - min_v n.v for every inward halfplane n.x >= c of
-    Q (both sides of the line when Q is a segment).  On each row my of the
-    box these bounds leave one exact interval of mx; the witness is the
-    least lower end over the rows, ties going to the lower row.  Rows
-    ascend and no lower end is below the box's, so the first row whose
-    interval starts there holds the witness.
+    Q.  On each row my of the box these bounds leave one exact interval of
+    mx; the witness is the least lower end over the rows, ties going to the
+    lower row.  Rows ascend and no lower end is below the box's, so the
+    first row whose interval starts there holds the witness.
     """
     pxmin, pymin, pxmax, pymax = p.bounding_box
     qxmin, qymin, qxmax, qymax = q.bounding_box
@@ -347,12 +316,11 @@ def _row_intervals(
     """(my, lo, hi) for each row my of box = (mx_lo, my_lo, mx_hi, my_hi),
     ascending: [lo, hi] holds the mx of the box, if any, for which every
     point w of points satisfies n.(w + m) >= c + slack, for each inward
-    halfplane n.x >= c of bound (both sides of the line when bound is a
-    segment).  That is nx*mx >= c + slack - min_w n.w - ny*my, one bound
-    per halfplane on each row.  A horizontal halfplane (nx = 0) only bounds
-    my, which the box must already do, so it is skipped.  An empty box
-    yields nothing at once; a nonempty box of more than ``MAX_SWEEP_ROWS``
-    rows is refused before any row is scanned.
+    halfplane n.x >= c of bound.  That is nx*mx >= c + slack - min_w n.w -
+    ny*my, one bound per halfplane on each row.  A horizontal halfplane
+    (nx = 0) only bounds my, which the box must already do, so it is
+    skipped.  An empty box yields nothing at once; a nonempty box of more
+    than ``MAX_SWEEP_ROWS`` rows is refused before any row is scanned.
     """
     mx_lo, my_lo, mx_hi, my_hi = box
     if mx_lo > mx_hi or my_lo > my_hi:
@@ -362,8 +330,6 @@ def _row_intervals(
             f"the translate box spans {my_hi - my_lo + 1} rows, more than the {MAX_SWEEP_ROWS} a row scan may visit"
         )
     planes = _inward_halfplanes(bound)
-    if bound.dim == 1:
-        planes += tuple((-nx, -ny, -c) for nx, ny, c in planes)
     bounds = [(nx, ny, c + slack - min(nx * w.x + ny * w.y for w in points)) for nx, ny, c in planes if nx]
     for my in range(my_lo, my_hi + 1):
         lo, hi = mx_lo, mx_hi
@@ -403,8 +369,6 @@ def inside_translate_count(p: LatticePolygon, q: LatticePolygon) -> int:
     that one box is tall, and only a box of more than ``MAX_SWEEP_ROWS``
     rows is refused.
     """
-    if p.dim != 2 or q.dim != 2:
-        raise DegeneratePolygonError("component totals need full-dimensional polygons")
     if contains_lattice_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
     pxmin, pymin, pxmax, pymax = p.bounding_box
@@ -421,9 +385,10 @@ def inside_translate_count(p: LatticePolygon, q: LatticePolygon) -> int:
 
 @lru_cache(maxsize=1024, typed=True)
 def wide_prism(h1: int, h2: int) -> LatticePolygon:
-    """Prism presented with unit lattice height: rows of lengths h1 and h2."""
-    if h1 < 0 or h2 < 0:
-        raise LatticeGeometryError("prism heights must be nonnegative")
+    """Prism presented with unit lattice height: rows of lengths h1 >= 1 and
+    h2 >= 0 (h1 = h2 = 0 would be a segment)."""
+    if h1 < 1 or h2 < 0:
+        raise LatticeGeometryError("prism heights need h1 >= 1 and h2 >= 0")
     return LatticePolygon([(0, 0), (h1, 0), (0, 1), (h2, 1)])
 
 
@@ -436,11 +401,6 @@ def is_lawrence_prism(p: LatticePolygon) -> Optional[tuple[int, int]]:
     fiber's height is the lattice length of the segment joining the
     vertices on its line (zero for a single vertex).
     """
-    if p.dim == 0:
-        return None
-    if p.dim == 1:
-        a, b = p.vertices
-        return (0, 0) if gcd(abs(b.x - a.x), abs(b.y - a.y)) == 1 else None
     if p.interior_lattice_point_count != 0:
         return None
     for a, b in p.edges:
@@ -476,8 +436,6 @@ def rectangle(a: int, b: int) -> LatticePolygon:
 
 @lru_cache(maxsize=256, typed=True)
 def veronese_triangle(d: int) -> LatticePolygon:
-    if d < 0:
-        raise LatticeGeometryError("degree must be nonnegative")
-    if d == 0:
-        return LatticePolygon([(0, 0)])
+    if d < 1:
+        raise LatticeGeometryError("degree must be positive")
     return LatticePolygon([(0, 0), (d, 0), (0, d)])

@@ -16,7 +16,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .lattice import (
     LatticePolygon,
-    DegeneratePolygonError,
     inside_translate_count,
     is_lawrence_prism,
     is_twice_unit_triangle,
@@ -101,6 +100,7 @@ class TransferPlan:
             raise ToricTransferError(f"unknown terminal kind {self.terminal_kind!r}")
 
 
+@lru_cache(maxsize=4096)
 def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     """One-step criterion: does Q support multipliers for P?
 
@@ -118,13 +118,6 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
 
         margin = A2(Q) - A2(P) + B(P) + B(Q) - 1 + N_in.
     """
-    if p.dim != 2 or q.dim != 2:
-        raise DegeneratePolygonError("the criterion needs full-dimensional polygons")
-    return _transfer_check_cached(p, q)
-
-
-@lru_cache(maxsize=4096)
-def _transfer_check_cached(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     n_in, lattice_pq = inside_translate_count(p, q), minkowski_lattice_point_count(p, q)
     bp, bq = p.boundary_lattice_point_count, q.boundary_lattice_point_count
     h = lattice_pq + n_in - p.twice_area - q.twice_area - bq - 2
@@ -184,8 +177,6 @@ def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     third gives the closed form.  Neither sum is built, and the last count
     is ``lattice.inside_translate_count``.
     """
-    if p.dim != 2 or q.dim != 2:
-        raise DegeneratePolygonError("component totals need full-dimensional polygons")
     return transfer_check(p, q).h
 
 
@@ -202,11 +193,12 @@ def hilbert_classic_bound(d: int) -> int:
 @lru_cache(maxsize=2048, typed=True)
 def trapezoid(d: int, m: int) -> LatticePolygon:
     """The trapezoid cut from the degree-d triangle: x >= 0, 0 <= y <= d-m,
-    x + y <= d.  Twice it holds degree-2d forms vanishing to order 2m at a
-    torus-fixed point.  Built once per (d, m) in a bounded, typed cache, as
-    the candidate shapes of ``lattice`` are."""
-    if m < 0 or d < 0 or m > d:
-        raise ToricTransferError("trapezoid needs 0 <= m <= d")
+    x + y <= d, for 0 <= m < d (m = d would be a segment).  Twice it holds
+    degree-2d forms vanishing to order 2m at a torus-fixed point.  Built
+    once per (d, m) in a bounded, typed cache, as the candidate shapes of
+    ``lattice`` are."""
+    if m < 0 or m >= d:
+        raise ToricTransferError("trapezoid needs 0 <= m < d")
     return LatticePolygon([(0, 0), (d, 0), (m, d - m), (0, d - m)])
 
 
@@ -383,7 +375,7 @@ def _family_candidates(
     out: dict[LatticePolygon, tuple[LatticePolygon, int, bool]] = {}
 
     def add(q: LatticePolygon) -> None:
-        if q.dim == 2 and q not in out and (entry := _candidate(q, context))[1] < cur_deg:
+        if q not in out and (entry := _candidate(q, context))[1] < cur_deg:
             out[q] = entry
 
     for fam in families:
@@ -464,8 +456,6 @@ def plan_transfer(
     for fam in families:
         if fam not in _FAMILIES:
             raise ToricTransferError(f"unknown candidate family {fam!r}")
-    if p.dim != 2:
-        raise DegeneratePolygonError("plan source must be full-dimensional")
     ctx = _infer_context(p)
     return _descend(p, lambda cur: _greedy_step(cur, families, ctx), ctx)
 
@@ -527,7 +517,7 @@ def _convex_subpolygons(k: int) -> tuple[LatticePolygon, ...]:
             x0 = min(px for px, _ in points)
             y0 = min(py for _, py in points)
             poly = LatticePolygon([(px - x0, py - y0) for px, py in points])
-            if poly.dim == 2 and poly.vertices not in seen:
+            if poly.vertices not in seen:
                 seen.add(poly.vertices)
                 results.append(poly)
             # continue: longer chains may also close later with other dirs

@@ -71,13 +71,22 @@ def scaled(p: LatticePoint, k: int) -> LatticePoint:
     return LatticePoint(p.x * k, p.y * k)
 
 
+def full_hull(points) -> Optional[LatticePolygon]:
+    """The polygon of points, or None when their hull is a point or a
+    segment.  A seeded generator skips a None and draws nothing more for it,
+    so its corpus keeps the same full-dimensional polygons in the same
+    order."""
+    try:
+        return LatticePolygon(points)
+    except DegeneratePolygonError:
+        return None
+
+
 def dilate(poly: LatticePolygon, k: int) -> LatticePolygon:
-    """The dilation kP for k >= 0; k = 0 collapses to the origin.  Scaling
-    keeps the vertex list canonical, so no hull is taken."""
-    if k < 0:
-        raise LatticeGeometryError("dilation factor must be nonnegative")
-    if k == 0:
-        return LatticePolygon._from_canonical((LatticePoint(0, 0),))
+    """The dilation kP for k >= 1 (0P would be a point).  Scaling keeps the
+    vertex list canonical, so no hull is taken."""
+    if k < 1:
+        raise LatticeGeometryError("dilation factor must be positive")
     return LatticePolygon._from_canonical(tuple(scaled(p, k) for p in poly.vertices))
 
 
@@ -90,14 +99,6 @@ def standard_prism(h1: int, h2: int) -> LatticePolygon:
 
 def contains_point(poly: LatticePolygon, p) -> bool:
     p = LatticePoint(*p)
-    v = poly.vertices
-    if poly.dim == 0:
-        return p == v[0]
-    if poly.dim == 1:
-        a, b = v
-        if _cross(a, b, p) != 0:
-            return False
-        return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
     return all(_cross(a, b, p) >= 0 for a, b in poly.edges)
 
 
@@ -138,10 +139,6 @@ def difference_components(p: LatticePolygon, qp: LatticePolygon) -> ComponentCou
     halfplane n.x >= c of Q', or every vertex of Q' lies strictly on one
     side of the line of e_i.
     """
-    if p.dim != 2:
-        raise DegeneratePolygonError("P must be full-dimensional")
-    if qp.dim != 2:
-        raise DegeneratePolygonError("Q' must be full-dimensional")
     planes = _inward_halfplanes(qp)
     outside = [{j for j, (nx, ny, c) in enumerate(planes) if nx * v.x + ny * v.y < c} for v in p.vertices]
     if not any(outside):
@@ -221,8 +218,8 @@ def random_polygon(rng: random.Random, max_coord: int = 8, tries: int = 50) -> L
             (rng.randint(0, max_coord), rng.randint(0, max_coord))
             for _ in range(rng.randint(3, 7))
         ]
-        poly = LatticePolygon(pts)
-        if poly.dim == 2:
+        poly = full_hull(pts)
+        if poly is not None:
             return poly
     raise AssertionError("could not draw a full-dimensional polygon")
 
@@ -271,16 +268,6 @@ def _row_span(poly: LatticePolygon, y: int) -> Optional[tuple[int, int]]:
 
 def lattice_points(poly: LatticePolygon) -> Iterator[LatticePoint]:
     """Every lattice point of the closed polygon, row by row."""
-    if poly.dim == 0:
-        yield poly.vertices[0]
-        return
-    if poly.dim == 1:
-        a, b = poly.vertices
-        g = gcd(abs(b.x - a.x), abs(b.y - a.y))
-        step = LatticePoint((b.x - a.x) // g, (b.y - a.y) // g)
-        for i in range(g + 1):
-            yield LatticePoint(a.x + i * step.x, a.y + i * step.y)
-        return
     _, ymin, _, ymax = poly.bounding_box
     for y in range(ymin, ymax + 1):
         span = _row_span(poly, y)
@@ -333,14 +320,6 @@ def is_lattice_equivalent(p: LatticePolygon, q: LatticePolygon) -> bool:
     linear parts come from matching P's first two edge vectors against
     consecutive edge vectors of Q, in both orientations.
     """
-    if p.dim != q.dim:
-        return False
-    if p.dim == 0:
-        return True
-    if p.dim == 1:
-        a, b = p.vertices
-        c, d = q.vertices
-        return gcd(abs(b.x - a.x), abs(b.y - a.y)) == gcd(abs(d.x - c.x), abs(d.y - c.y))
     if (
         len(p.vertices) != len(q.vertices)
         or p.twice_area != q.twice_area
@@ -381,8 +360,6 @@ def brute_force_lattice_count(poly: LatticePolygon) -> int:
 
 def brute_force_interior_count(poly: LatticePolygon) -> int:
     """Interior = strict inequalities against every edge halfplane."""
-    if poly.dim != 2:
-        return 0
     xmin, ymin, xmax, ymax = poly.bounding_box
     edges = poly.edges
     count = 0
@@ -464,8 +441,6 @@ def brute_force_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     The reference for ``reduced_component_total``: one block count at each
     lattice point m of the zone P + (-Q), with no breakpoints.
     """
-    if p.dim != 2 or q.dim != 2:
-        raise DegeneratePolygonError("component totals need full-dimensional polygons")
     if brute_force_contains_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
     clips = _clip_rows(p, q)
@@ -482,8 +457,6 @@ def brute_force_inside_count(p: LatticePolygon, q: LatticePolygon) -> int:
     where Q + m fits in P's bounding box: every vertex of Q + m must lie
     strictly inside every edge of P.  The reference for
     ``lattice.inside_translate_count``, refusing the same inputs."""
-    if p.dim != 2 or q.dim != 2:
-        raise DegeneratePolygonError("component totals need full-dimensional polygons")
     if brute_force_contains_translate(p, q) is not None:
         raise TranslateContainmentError("translate containment")
     pxmin, pymin, pxmax, pymax = p.bounding_box

@@ -124,6 +124,50 @@ class TestToricPlan:
         assert err.startswith("error:") and "'bogus'" in err
 
 
+class TestErrorLines:
+    """Malformed input exits 1 with one ``error:`` line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("delpezzo-transfer", "--surface", "P2", "--divisor", "1,x"),
+                "field 'divisor' must be comma-separated integers, got '1,x'",
+            ),
+            (
+                ("ruled-schedule", "--data", '{"minusK_dot_H":6,"H_dot_HplusK":0,"chiO":0}', "--d", "5"),
+                "missing field 'ell'",
+            ),
+            (
+                ("ruled-schedule", "--data", '{"minusK_dot_H":6,"H_dot_HplusK":0,"chiO":0,"ell":-1}', "--d", "5"),
+                "ell must be nonnegative",
+            ),
+        ],
+        ids=["divisor-not-integers", "ruled-data-without-ell", "ruled-data-negative-ell"],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_missing_polygon_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        message = f"cannot read polygon file {path!r}: [Errno 2] No such file or directory: {path!r}"
+        assert invoke(capsys, "toric-check", "--p", path, "--q", SQUARE1) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "thin",
+        ['{"vertices":[[1,1]]}', '{"vertices":[[0,0],[2,2]]}', '{"vertices":[[0,0],[1,1],[3,3]]}'],
+        ids=["point", "segment", "collinear-triple"],
+    )
+    def test_a_point_or_a_segment_is_refused(self, capsys, thin):
+        error = "error: the vertices span a point or a segment, not a full-dimensional polygon\n"
+        for argv in (
+            ("toric-check", "--p", thin, "--q", DELTA2),
+            ("toric-check", "--p", DELTA2, "--q", thin),
+            ("toric-plan", "--p", thin),
+        ):
+            assert invoke(capsys, *argv) == (1, "", error), argv
+
+
 class TestHilbert:
     def test_improved_degree_five(self, capsys):
         code, out, _ = invoke(capsys, "hilbert", "--d", "5", "--improved")

@@ -1,6 +1,7 @@
 import random
 import time
 from math import gcd
+from typing import Optional
 
 import pytest
 
@@ -43,6 +44,7 @@ from conftest import (
     dilate,
     event_segments,
     fraction_covered_arcs,
+    full_hull,
     hull_minkowski_sum,
     is_lattice_equivalent,
     plan_corpus,
@@ -63,8 +65,9 @@ class TestConvexHull:
         assert poly.vertices == (LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 2))
 
     def test_single_point(self):
-        poly = LatticePolygon([(0, 0)])
-        assert poly.dim == 0 and poly.vertices == (LatticePoint(0, 0),)
+        for verts in ([(0, 0)], [(2, 5), (2, 5)]):
+            with pytest.raises(DegeneratePolygonError, match="a point or a segment"):
+                LatticePolygon(verts)
 
     def test_quadrilateral_keeps_all_vertices(self):
         poly = LatticePolygon([(0, 0), (3, 0), (2, 1), (0, 1)])
@@ -82,9 +85,21 @@ class TestConvexHull:
         with pytest.raises(LatticeGeometryError):
             LatticePolygon([(0, 0), (0.5, 0)])
 
-    def test_collinear_input_gives_segment(self):
-        poly = LatticePolygon([(0, 0), (1, 1), (3, 3)])
-        assert poly.dim == 1 and poly.vertices == (LatticePoint(0, 0), LatticePoint(3, 3))
+    def test_collinear_input_is_refused(self):
+        for verts in ([(0, 0), (1, 1), (3, 3)], [(3, 3), (0, 0), (2, 2), (0, 0)], [(0, 0), (3, 0)]):
+            with pytest.raises(DegeneratePolygonError, match="a point or a segment"):
+                LatticePolygon(verts)
+        with pytest.raises(DegeneratePolygonError):
+            LatticePolygon.from_json_dict({"vertices": [[0, 0], [2, 2]]})
+
+    def test_degenerate_shapes_are_refused(self):
+        # each constructor refuses the arguments that would give a point or a segment
+        for build, args in ((veronese_triangle, (0,)), (wide_prism, (0, 0))):
+            with pytest.raises(LatticeGeometryError):
+                build(*args)
+        for build, args in ((rectangle, (0, 3)), (rectangle, (2, 0))):
+            with pytest.raises(DegeneratePolygonError):
+                build(*args)
 
 
 class TestDilate:
@@ -94,8 +109,10 @@ class TestDilate:
     def test_degree_five_triangle(self):
         assert dilate(veronese_triangle(1), 5) == veronese_triangle(5)
 
-    def test_zero_collapses_to_origin(self):
-        assert dilate(rectangle(3, 2), 0).vertices == (LatticePoint(0, 0),)
+    def test_zero_is_refused(self):
+        # 0P is a point, so the dilation factor must be positive
+        with pytest.raises(LatticeGeometryError, match="positive"):
+            dilate(rectangle(3, 2), 0)
 
     def test_identity(self):
         assert dilate(FIGURE_PRISM, 1) == FIGURE_PRISM
@@ -104,10 +121,6 @@ class TestDilate:
 class TestMinkowskiSum:
     def test_squares(self):
         assert minkowski_sum(rectangle(2, 2), rectangle(1, 1)) == rectangle(3, 3)
-
-    def test_point_is_identity(self):
-        origin = LatticePolygon([(0, 0)])
-        assert minkowski_sum(FIGURE_PRISM, origin) == FIGURE_PRISM
 
     def test_triangle_plus_prism_is_cut_trapezoid(self):
         total = minkowski_sum(veronese_triangle(5), FIGURE_PRISM)
@@ -130,9 +143,9 @@ class TestCounting:
         assert dilate(FIGURE_PRISM, 2).lattice_point_count == 18
 
     def test_segment_count(self):
-        seg = LatticePolygon([(0, 0), (3, 0)])
-        assert seg.lattice_point_count == 4
-        assert seg.interior_lattice_point_count == 0
+        # a segment has no polygon to count: the hull refuses it
+        with pytest.raises(DegeneratePolygonError):
+            LatticePolygon([(0, 0), (3, 0)])
 
     def test_trapezoid_interior(self):
         total = minkowski_sum(veronese_triangle(5), FIGURE_PRISM)
@@ -184,11 +197,10 @@ class TestTranslateSearch:
             assert time.perf_counter() - start < 1.0
 
 
-def _point_set(rng: random.Random, size: int) -> LatticePolygon:
-    """A random hull of one to six points: a point, a segment or a polygon."""
-    return LatticePolygon(
-        [(rng.randint(0, size), rng.randint(0, size)) for _ in range(rng.randint(1, 6))]
-    )
+def _point_set(rng: random.Random, size: int) -> Optional[LatticePolygon]:
+    """The hull of one to six random points, or None when it is a point or a
+    segment."""
+    return full_hull([(rng.randint(0, size), rng.randint(0, size)) for _ in range(rng.randint(1, 6))])
 
 
 class TestTranslateScanOracle:
@@ -200,7 +212,10 @@ class TestTranslateScanOracle:
         for _ in range(2500):
             p = _point_set(rng, 4)
             q = _point_set(rng, 8) if rng.random() < 0.3 else random_polygon(rng, max_coord=8)
-            q = q.translate((rng.randint(-3, 3), rng.randint(-3, 3)))
+            shift = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if p is None or q is None:
+                continue
+            q = q.translate(shift)
             witness = brute_force_contains_translate(p, q)
             assert contains_lattice_translate(p, q) == witness, (p, q)
             found += witness is not None
@@ -211,21 +226,26 @@ class TestTranslateScanOracle:
         rng = random.Random(7171)
         for _ in range(400):
             far = rng.choice((10**6, 10**9))
-            p = _point_set(rng, 3).translate((rng.randint(-far, far), rng.randint(-far, far)))
+            p = _point_set(rng, 3)
+            shift = (rng.randint(-far, far), rng.randint(-far, far))
             q = random_polygon(rng, max_coord=7).translate((rng.randint(-far, far), rng.randint(-far, far)))
+            if p is None:
+                continue
+            p = p.translate(shift)
             witness = brute_force_contains_translate(p, q)
             assert contains_lattice_translate(p, q) == witness, (p, q)
             if witness is not None:
                 assert contains_polygon(q, p.translate(witness))
 
     def test_degenerate_p(self):
-        q = LatticePolygon([(0, 0), (6, 0), (0, 3)])
+        # a point or a segment P never reaches the scan: the hull refuses it
         rng = random.Random(7272)
         for _ in range(300):
             a = (rng.randint(-2, 7), rng.randint(-2, 4))
             b = (rng.randint(-2, 7), rng.randint(-2, 4))
-            for p in (LatticePolygon([a]), LatticePolygon([a, b])):
-                assert contains_lattice_translate(p, q) == brute_force_contains_translate(p, q), p
+            for verts in ([a], [a, b]):
+                with pytest.raises(DegeneratePolygonError):
+                    LatticePolygon(verts)
 
 
 class TestDifferenceComponents:
@@ -249,11 +269,9 @@ class TestDifferenceComponents:
             difference_components(rectangle(1, 1), rectangle(2, 2))
 
     def test_degenerate_rejected(self):
-        seg = LatticePolygon([(0, 0), (1, 0)])
+        # a segment never reaches the difference: the hull refuses it
         with pytest.raises(DegeneratePolygonError):
-            difference_components(rectangle(2, 2), seg)
-        with pytest.raises(DegeneratePolygonError):
-            difference_components(seg, rectangle(2, 2))
+            LatticePolygon([(0, 0), (1, 0)])
 
     def test_corner_touch_disconnects(self):
         # removing a block that owns the only meeting point separates the
@@ -300,10 +318,10 @@ class TestInsideTranslateCount:
             inside_translate_count(rectangle(1, 1), rectangle(2, 2))
 
     def test_degenerate_input_is_refused(self):
-        segment, point = LatticePolygon([(0, 0), (3, 1)]), LatticePolygon([(2, 2)])
-        for p, q in ((segment, rectangle(1, 1)), (rectangle(4, 4), segment), (rectangle(4, 4), point)):
-            with pytest.raises(DegeneratePolygonError, match="component totals need full-dimensional polygons"):
-                inside_translate_count(p, q)
+        # a segment or a point never reaches the count: the hull refuses it
+        for verts in ([(0, 0), (3, 1)], [(2, 2)]):
+            with pytest.raises(DegeneratePolygonError, match="a point or a segment"):
+                LatticePolygon(verts)
 
 
 def _steep_polygon(rng: random.Random) -> LatticePolygon:
@@ -314,8 +332,8 @@ def _steep_polygon(rng: random.Random) -> LatticePolygon:
         pts = [(rng.randint(0, w), rng.randint(0, hgt)) for _ in range(rng.randint(3, 6))]
         if rng.random() < 0.5:
             pts = [(y, x) for x, y in pts]
-        poly = LatticePolygon(pts)
-        if poly.dim == 2:
+        poly = full_hull(pts)
+        if poly is not None:
             return poly
 
 
@@ -360,8 +378,8 @@ class TestRowSweepOracle:
 def _random_in_box(rng: random.Random, width: int, height: int) -> LatticePolygon:
     while True:
         pts = [(rng.randint(0, width), rng.randint(0, height)) for _ in range(rng.randint(3, 6))]
-        poly = LatticePolygon(pts)
-        if poly.dim == 2:
+        poly = full_hull(pts)
+        if poly is not None:
             return poly
 
 
@@ -376,8 +394,8 @@ def _few_direction_polygon(rng: random.Random) -> LatticePolygon:
         for dx, dy in sorted(rng.sample(_FEW_DIRECTIONS, 3)):
             t = rng.randint(1, 4)
             pts.append((pts[-1][0] + t * dx, pts[-1][1] + t * dy))
-        poly = LatticePolygon(pts + [(x + rng.randint(0, 2), y) for x, y in pts])
-        if poly.dim == 2:
+        poly = full_hull(pts + [(x + rng.randint(0, 2), y) for x, y in pts])
+        if poly is not None:
             return poly
 
 
@@ -474,8 +492,10 @@ class TestPickCounts:
             self._agree(poly if rng.random() < 0.5 else apply_unimodular(poly, ((0, 1), (1, 0))))
 
     def test_degenerate(self):
+        # a point or a segment has no Pick count: the hull refuses it
         for verts in ([(3, 4)], [(0, 0), (6, 4)], [(-2, 5), (-2, 9)]):
-            self._agree(LatticePolygon(verts))
+            with pytest.raises(DegeneratePolygonError):
+                LatticePolygon(verts)
 
     def test_tall_triangle_counts_at_once(self):
         # P = conv{(0,0), (1,0), (0,n)} and P + 2Δ = conv{(0,0), (3,0), (2,n), (0,n+2)}
@@ -503,22 +523,28 @@ class TestDerivedPolygons:
         rng = random.Random(696)
 
         def draw():
+            # a point or a segment still takes its draws, so the polygons
+            # after it come from a fixed stream; the hull refuses it (None)
             c = rng.random()
             if c < 0.15:  # a point
-                return LatticePolygon([(rng.randint(-5, 5), rng.randint(-5, 5))])
+                return full_hull([(rng.randint(-5, 5), rng.randint(-5, 5))])
             if c < 0.35:  # a segment
                 x, y, dx, dy = (rng.randint(-5, 5) for _ in range(4))
-                return LatticePolygon([(x, y), (x + dx * rng.randint(1, 3), y + dy * rng.randint(1, 3))])
+                return full_hull([(x, y), (x + dx * rng.randint(1, 3), y + dy * rng.randint(1, 3))])
             poly = random_polygon(rng, max_coord=rng.choice((2, 6, 10)))
             return poly.translate((rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9))) if c > 0.9 else poly
 
         for _ in range(2000):
             p, q = draw(), draw()
-            assert minkowski_sum(p, q).vertices == hull_minkowski_sum(p, q).vertices, (p, q)
+            if p is not None and q is not None:
+                assert minkowski_sum(p, q).vertices == hull_minkowski_sum(p, q).vertices, (p, q)
+            k = rng.randint(0, 4)
+            if p is None:
+                continue
             assert p.reflect().vertices == LatticePolygon([-v for v in p.vertices]).vertices, p
             assert p.reflect() is p.reflect()
-            k = rng.randint(0, 4)
-            assert dilate(p, k).vertices == LatticePolygon([scaled(v, k) for v in p.vertices]).vertices, (p, k)
+            if k:  # 0P is a point
+                assert dilate(p, k).vertices == LatticePolygon([scaled(v, k) for v in p.vertices]).vertices, (p, k)
 
 
 class TestMinkowskiCounts:
@@ -565,11 +591,10 @@ class TestMinkowskiCounts:
                     self._agree(q, s)
 
     def test_degenerate_inputs_are_refused(self):
-        square = rectangle(2, 2)
-        for thin in (LatticePolygon([(1, 1)]), LatticePolygon([(0, 0), (3, 2)])):
-            for p, q in ((thin, square), (square, thin), (thin, thin)):
-                with pytest.raises(DegeneratePolygonError):
-                    minkowski_lattice_point_count(p, q)
+        # a point or a segment never reaches the counts: the hull refuses it
+        for verts in ([(1, 1)], [(0, 0), (3, 2)]):
+            with pytest.raises(DegeneratePolygonError):
+                LatticePolygon(verts)
 
 
 class TestExactArcOrder:
@@ -642,9 +667,8 @@ class TestLawrencePrism:
         for h1 in range(1, 5):
             for h2 in range(0, h1 + 1):
                 poly = wide_prism(h1, h2)
-                if poly.dim == 2:
-                    assert is_lawrence_prism(poly) == (h1, h2)
-                    assert is_lattice_equivalent(poly, standard_prism(h1, h2))
+                assert is_lawrence_prism(poly) == (h1, h2)
+                assert is_lattice_equivalent(poly, standard_prism(h1, h2))
 
 
 class TestTerminalInvariantsOracle:

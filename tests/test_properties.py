@@ -35,6 +35,7 @@ from conftest import (
     dilate,
     edge_direction_multiset,
     ehrhart_quadratic,
+    full_hull,
     is_lattice_equivalent,
     lattice_points,
     random_polygon,
@@ -50,51 +51,53 @@ point_lists = st.lists(
     min_size=1,
     max_size=8,
 )
+#: The polygons of point lists whose hull is neither a point nor a segment.
+polygons = point_lists.map(full_hull).filter(lambda poly: poly is not None)
 
 
 @given(point_lists)
 def test_hull_idempotent_and_contains_input(pts):
-    poly = LatticePolygon(pts)
+    poly = full_hull(pts)
+    # the hull refuses exactly the point lists on one line
+    a, b = pts[0], next((r for r in pts if r != pts[0]), pts[0])
+    assert (poly is None) == all((b[0] - a[0]) * (r[1] - a[1]) == (b[1] - a[1]) * (r[0] - a[0]) for r in pts)
+    assume(poly is not None)
     assert LatticePolygon(poly.vertices) == poly
     assert all(contains_point(poly, p) for p in pts)
 
 
-@given(point_lists)
-def test_counts_match_brute_force(pts):
-    poly = LatticePolygon(pts)
+@given(polygons)
+def test_counts_match_brute_force(poly):
     assert poly.lattice_point_count == brute_force_lattice_count(poly)
     assert poly.interior_lattice_point_count == brute_force_interior_count(poly)
 
 
-@given(point_lists, point_lists)
-def test_minkowski_contains_all_sums(pts_a, pts_b):
-    a, b = LatticePolygon(pts_a), LatticePolygon(pts_b)
+@given(polygons, polygons)
+def test_minkowski_contains_all_sums(a, b):
     total = minkowski_sum(a, b)
     for p in a.vertices:
         for q in b.vertices:
             assert contains_point(total, p + q)
 
 
-@given(point_lists, st.integers(min_value=0, max_value=4))
-def test_dilation_counts_monotone(pts, k):
-    poly = LatticePolygon(pts)
-    assert dilate(poly, k).lattice_point_count >= (1 if k == 0 else poly.lattice_point_count)
+@given(polygons, st.integers(min_value=1, max_value=4))
+def test_dilation_counts_monotone(poly, k):
+    assert dilate(poly, k).lattice_point_count >= poly.lattice_point_count
 
 
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
 def test_prism_recognition_round_trip(h1, h2):
+    assume(max(h1, h2) > 0)  # heights 0 and 0 give a segment
     poly = standard_prism(max(h1, h2), min(h1, h2))
-    got = is_lawrence_prism(poly)
-    if poly.dim == 2:
-        assert got == (max(h1, h2), min(h1, h2))
+    assert is_lawrence_prism(poly) == (max(h1, h2), min(h1, h2))
 
 
 def polygons_in_box(size: int):
     return (
         st.lists(st.tuples(st.integers(0, size), st.integers(0, size)), min_size=3, max_size=6)
-        .map(LatticePolygon)
-        .filter(lambda poly: poly.dim == 2)
+        .map(full_hull)
+        .filter(lambda poly: poly is not None)
     )
 
 
@@ -117,8 +120,8 @@ def component_total_pairs(draw):
     if kind == "independent":
         q = draw(polygons_in_box(draw(st.sampled_from((2, 4, 7)))))
     elif kind == "collinear":
-        q = LatticePolygon(draw(st.lists(st.sampled_from(p.vertices), min_size=3, unique=True)))
-        assume(q.dim == 2)
+        q = full_hull(draw(st.lists(st.sampled_from(p.vertices), min_size=3, unique=True)))
+        assume(q is not None)
     else:
         q = p.reflect()
     near = st.tuples(st.integers(-4, 4), st.integers(-4, 4))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -15,8 +16,11 @@ from sostransfer.lattice import (
     wide_prism,
 )
 from sostransfer import toric
+from sostransfer.cli import run
 from sostransfer.toric import (
     NoPlanError,
+    PipelineStepError,
+    PlanStep,
     ToricTransferError,
     TransferVerdict,
     hilbert_classic_bound,
@@ -33,6 +37,7 @@ from conftest import (
     brute_force_component_total,
     built_polygon_verdict,
     dilate,
+    full_hull,
     lattice_points,
     plan_corpus,
     total_or_containment,
@@ -122,7 +127,7 @@ class TestTransferCheck:
 
             for module in (lattice, toric):
                 monkeypatch.setattr(module, name, spy)
-        toric._transfer_check_cached.cache_clear()
+        toric.transfer_check.cache_clear()
         # N_in is 0 for the first pair and 10 for the second
         for p, q in ((veronese_triangle(5), FIGURE_PRISM), (veronese_triangle(9), rectangle(2, 1))):
             calls.clear()
@@ -204,8 +209,10 @@ class TestTrapezoid:
         assert dilate(trapezoid(5, 2), 2).lattice_point_count == 56
 
     def test_rejects_bad_cut(self):
-        with pytest.raises(ToricTransferError):
-            trapezoid(3, 4)
+        # a cut m = d leaves the segment of the base
+        for d, m in ((3, 4), (3, 3), (0, 0), (3, -1)):
+            with pytest.raises(ToricTransferError, match="0 <= m < d"):
+                trapezoid(d, m)
 
 
 class TestBiforms:
@@ -336,8 +343,8 @@ class TestPlanGolden:
         sources = [veronese_triangle(k) for k in range(3, 9)]
         sources += [rectangle(a, b) for a, b in ((3, 3), (2, 5), (4, 6))]
         while len(sources) < 24:
-            poly = LatticePolygon([(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(3, 6))])
-            if poly.dim == 2:
+            poly = full_hull([(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(3, 6))])
+            if poly is not None:
                 sources.append(poly)
         out = json.dumps([plan_to_json_dict(plan_transfer(s)) for s in sources], separators=(",", ":"))
         assert hashlib.sha1(out.encode()).hexdigest() == "09c40f338b6ddbfc7a866f9d18ca4cf5ae7529af"
@@ -368,7 +375,7 @@ class TestCaches:
     def test_caches_bounded_and_hold_a_bound_table(self):
         from sostransfer import toric
 
-        checks, states = toric._transfer_check_cached, toric._pipeline_step
+        checks, states = toric.transfer_check, toric._pipeline_step
         assert checks.cache_info().maxsize == 4096
         assert states.cache_info().maxsize is not None
         checks.cache_clear()
@@ -399,7 +406,7 @@ class TestCaches:
 
     def test_candidate_shapes_built_once_and_bools_still_refused(self):
         # the constructor caches are typed: True is not served the entry of 1
-        for build, args in ((rectangle, (1, 1)), (wide_prism, (1, 1)), (veronese_triangle, (1,)), (trapezoid, (1, 1))):
+        for build, args in ((rectangle, (1, 1)), (wide_prism, (1, 1)), (veronese_triangle, (1,)), (trapezoid, (2, 1))):
             assert build(*args) is build(*args)
             with pytest.raises(LatticeGeometryError):
                 build(*args[:-1], True)
@@ -416,8 +423,8 @@ class TestSubpolygonEnumeration:
             seen = set()
             for size in range(3, len(pts) + 1):
                 for combo in itertools.combinations(pts, size):
-                    poly = LatticePolygon(combo)
-                    if poly.dim != 2:
+                    poly = full_hull(combo)
+                    if poly is None:
                         continue
                     xmin, ymin, _, _ = poly.bounding_box
                     seen.add(poly.translate((-xmin, -ymin)).vertices)
@@ -460,3 +467,40 @@ class TestPlanJson:
     def test_kind_spelling(self):
         plan = hilbert_classic_plan(4)
         assert plan_to_json_dict(plan)["terminal_kind"] == "2delta"
+
+
+class TestFaultDetectors:
+    """The checks that refuse an inconsistent verdict or plan, and the
+    pipeline's refusal of a step that fails its check."""
+
+    def test_inconsistent_verdicts_are_refused(self):
+        with pytest.raises(ToricTransferError, match="margin must equal count_2Q"):
+            TransferVerdict(9, 0, 4, True, 4)
+        with pytest.raises(ToricTransferError, match="holds must mirror margin > 0"):
+            TransferVerdict(9, 0, 4, False, 5)
+
+    def test_each_broken_plan_is_refused(self):
+        plan = hilbert_classic_plan(7)
+        plan.validate()
+        first, second, *rest = plan.steps
+        failing = PlanStep(second.p, second.q, TransferVerdict(5, 0, 5, False, 0))
+        broken = [
+            (replace(plan, steps=(first, replace(second, p=rectangle(3, 3)), *rest)), "steps must chain"),
+            (replace(plan, steps=(first, failing, *rest)), "plan contains a failing step"),
+            (replace(plan, terminal=veronese_triangle(2)), "terminal must be the last step's Q"),
+            (replace(plan, steps=(), terminal=veronese_triangle(3)), "terminal is not a Lawrence prism"),
+            (replace(plan, terminal_kind="twice_unit_triangle"), "terminal is not twice the unit triangle"),
+            (replace(plan, terminal_kind="bogus"), "unknown terminal kind 'bogus'"),
+        ]
+        for bad, message in broken:
+            with pytest.raises(ToricTransferError, match=message):
+                bad.validate()
+
+    def test_a_failing_classic_step_is_a_pipeline_error(self, monkeypatch, capsys):
+        failing = TransferVerdict(5, 0, 5, False, 0)
+        monkeypatch.setattr(toric, "transfer_check", lambda p, q: failing)
+        with pytest.raises(PipelineStepError, match="classic step failed") as info:
+            hilbert_classic_plan(7)
+        assert (info.value.p, info.value.q, info.value.verdict) == (veronese_triangle(7), veronese_triangle(5), failing)
+        assert run(["hilbert", "--d", "7"]) == 1
+        assert capsys.readouterr() == ("", "error: classic step failed\n")
