@@ -125,6 +125,35 @@ def transfer_check(p: LatticePolygon, q: LatticePolygon) -> TransferVerdict:
     return TransferVerdict(2 * q.twice_area + bq + 1, h, lattice_pq - bp - bq, margin > 0, margin)
 
 
+def _passing_margin(p: LatticePolygon, q: LatticePolygon) -> Optional[int]:
+    """``transfer_check(p, q).margin`` when it is positive, else None; the
+    planners decide candidates by it and count #L(P + Q) and h only for the
+    step they emit.
+
+    The margin is m0 + N_in with m0 = A2(Q) - A2(P) + B(P) + B(Q) - 1.  A
+    translate Q + m inside int P lies in a cell of the box that
+    ``lattice.inside_translate_count`` scans, which has max(cols, 0) *
+    max(rows, 0) cells for cols = width(P) - width(Q) - 1 and rows =
+    height(P) - height(Q) - 1.  So N_in is at most that many, and a pair
+    with m0 + cells <= 0 fails with no scan at all.  Any other pair makes
+    one ``inside_translate_count``.
+
+    The bound hides no translate containment.  If P + m lies in Q, then
+    A2(Q) >= A2(P), so m0 >= B(P) + B(Q) - 1 >= 5, since every polygon has
+    at least three boundary points.  Then m0 + cells > 0, and the count
+    raises TranslateContainmentError as ``transfer_check`` does.
+    """
+    pxmin, pymin, pxmax, pymax = p.bounding_box
+    qxmin, qymin, qxmax, qymax = q.bounding_box
+    cols = (pxmax - pxmin) - (qxmax - qxmin) - 1
+    rows = (pymax - pymin) - (qymax - qymin) - 1
+    m0 = q.twice_area - p.twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count - 1
+    if m0 + max(cols, 0) * max(rows, 0) <= 0:
+        return None
+    margin = m0 + inside_translate_count(p, q)
+    return margin if margin > 0 else None
+
+
 def reduced_component_total(p: LatticePolygon, q: LatticePolygon) -> int:
     """Total reduced component count h over all lattice translates of Q:
     the sum over m in Z^2 of (blocks(m) - 1)+, where blocks(m) is the number
@@ -314,8 +343,8 @@ def _pipeline_step(d: int, m: int) -> PlanStep:
     cur = trapezoid(d, m)
     if d <= _CLOSE_AT_OR_BELOW:
         for cand, _, terminal in _family_candidates(("prisms", "veronese"), "ternary", d, d - m, d):
-            if terminal and (verdict := transfer_check(cur, cand)).holds:
-                return PlanStep(cur, cand, verdict, note="close")
+            if terminal and _passing_margin(cur, cand) is not None:
+                return PlanStep(cur, cand, transfer_check(cur, cand), note="close")
     if m < 3:
         q = trapezoid(d, min(d - 1, (isqrt(4 * (m * m - m + 6 * d - 2) + 1) - 1) // 2))
         note, failure = "bite", "no corner bite passes"
@@ -370,7 +399,9 @@ def _family_candidates(
     height hgt and its ternary degree kmax, so they are built once per such
     key.  No candidate holds a lattice translate of the state, so none is
     refused for translate containment: a polygon that holds a translate of
-    P has at least P's ternary degree and box side sum."""
+    P has at least P's ternary degree and box side sum.  The planners
+    decide each candidate by ``_passing_margin``, whose box bound rejects
+    most failing ones without a scan."""
     cur_deg = 2 * kmax if context == "ternary" else w + hgt
     out: dict[LatticePolygon, tuple[LatticePolygon, int, bool]] = {}
 
@@ -413,27 +444,28 @@ def _candidate(q: LatticePolygon, context: str) -> tuple[LatticePolygon, int, bo
 def _greedy_step(cur: LatticePolygon, families: tuple[str, ...], ctx: str) -> Optional[PlanStep]:
     """The planner's step from cur: a passing terminal candidate if any,
     else any passing candidate; the cheapest, then the largest margin, then
-    the smallest canonical vertex list."""
+    the smallest canonical vertex list.  Candidates are decided by
+    ``_passing_margin`` alone, and only the step it returns gets a full
+    ``transfer_check``."""
     xmin, ymin, xmax, ymax = cur.bounding_box
     candidates = _family_candidates(families, ctx, xmax - xmin, ymax - ymin, ternary_degree(cur))
     for terminal_only in (True, False):
         level: Optional[int] = None
-        best: Optional[tuple[tuple[int, tuple], LatticePolygon, TransferVerdict]] = None
+        best: Optional[tuple[tuple[int, tuple], LatticePolygon]] = None
         for q, deg, terminal in candidates:
             if terminal != terminal_only:
                 continue
             if level is not None and deg > level:
                 break
-            verdict = transfer_check(cur, q)
-            if not verdict.holds:
+            if (margin := _passing_margin(cur, q)) is None:
                 continue
-            key = ((-verdict.margin), q.vertices)
+            key = (-margin, q.vertices)
             if level is None:
                 level = deg
             if best is None or key < best[0]:
-                best = (key, q, verdict)
+                best = (key, q)
         if best is not None:
-            return PlanStep(cur, best[1], best[2])
+            return PlanStep(cur, best[1], transfer_check(cur, best[1]))
     return None
 
 
@@ -446,9 +478,12 @@ def plan_transfer(
     At each state the one-step lookahead tries terminal polygons first (by
     ascending multiplier degree); otherwise the cheapest passing candidate is
     taken.  Ties break toward larger margin, then the lexicographically
-    smallest canonical vertex list, so plans are reproducible.  Every name
-    in families must be one of ``_FAMILIES``; an unknown name is refused
-    before the search starts, whatever the source.
+    smallest canonical vertex list, so plans are reproducible.  A candidate
+    is decided by its margin and the box bound of ``_passing_margin``, so a
+    failing one costs at most one N_in count; only the emitted steps get a
+    full ``transfer_check``, with #L(P + Q) and h.  Every name in families
+    must be one of ``_FAMILIES``; an unknown name is refused before the
+    search starts, whatever the source.
     """
     families = tuple(families)
     if not families:

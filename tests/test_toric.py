@@ -40,6 +40,7 @@ from conftest import (
     full_hull,
     lattice_points,
     plan_corpus,
+    random_polygon,
     total_or_containment,
     veronese_step_counts,
 )
@@ -143,27 +144,116 @@ class TestTransferCheckOracle:
     boundary counts, against the verdict counted on built polygons."""
 
     def test_every_check_of_the_corpus_plans(self, monkeypatch):
-        # every check the planner makes from the plan workload's shapes,
+        # every pair the planner decides from the plan workload's shapes,
         # passing or failing, and so every step of the plans; the steps
         # reversed add inapplicable pairs, which must be refused alike
         pairs = set()
-        real_check = toric.transfer_check
+        real_margin = toric._passing_margin
 
-        def check(p, q):
+        def margin(p, q):
             pairs.add((p, q))
-            return real_check(p, q)
+            return real_margin(p, q)
 
-        monkeypatch.setattr(toric, "transfer_check", check)
+        monkeypatch.setattr(toric, "_passing_margin", margin)
         plans = [plan_transfer(source) for source in plan_corpus(random.Random(77))]
         assert len(plans) == 55 and all(step.verdict.holds for plan in plans for step in plan.steps)
         steps = {(step.p, step.q) for plan in plans for step in plan.steps}
         assert steps <= pairs
         raised = 0
         for p, q in pairs | {(q, p) for p, q in steps}:
-            got = total_or_containment(real_check, p, q)
+            got = total_or_containment(transfer_check, p, q)
             assert got == total_or_containment(built_polygon_verdict, p, q), (p, q)
+            fast = total_or_containment(real_margin, p, q)
+            assert fast == (got if got == "containment" else got.margin if got.holds else None), (p, q)
             raised += got == "containment"
         assert len(pairs) > 2000 and raised > 10
+
+
+def _bound_margin(p, q):
+    """m0 + max(cols, 0) * max(rows, 0): the margin with N_in replaced by
+    the cells of the box that N_in scans, read from the definitions."""
+    (pw, ph), (qw, qh) = ((x1 - x0, y1 - y0) for x0, y0, x1, y1 in (p.bounding_box, q.bounding_box))
+    m0 = q.twice_area - p.twice_area + p.boundary_lattice_point_count + q.boundary_lattice_point_count - 1
+    return m0 + max(pw - qw - 1, 0) * max(ph - qh - 1, 0)
+
+
+class TestPassingMargin:
+    """The planners' fast path against the full check."""
+
+    @staticmethod
+    def _pairs(rng):
+        # kΔ against jΔ both ways round (margin 0 at j = k - 3), then random
+        # pairs, the same pairs far from the origin, and pairs whose Q is
+        # the hull of a translate of P and a few more points
+        for k in range(2, 13):
+            for j in range(1, k):
+                yield veronese_triangle(k), veronese_triangle(j), False
+                yield veronese_triangle(j), veronese_triangle(k), True
+        for _ in range(400):
+            p = random_polygon(rng, max_coord=rng.choice((3, 6, 9)))
+            q = random_polygon(rng, max_coord=rng.choice((3, 6)))
+            yield p, q, False
+            far = 10 ** rng.randint(6, 9)
+            shift = (rng.randint(-far, far), rng.randint(-far, far))
+            yield p.translate(shift), q.translate((rng.randint(-far, far), rng.randint(-far, far))), False
+            extra = [(rng.randint(-4, 8), rng.randint(-4, 8)) for _ in range(rng.randint(0, 3))]
+            yield p, LatticePolygon([*p.vertices, *extra]).translate(shift), True
+
+    def test_agrees_with_the_full_check(self, monkeypatch):
+        # and scans for N_in exactly when the box bound leaves a chance; a
+        # pair with a translate of P inside Q is refused, never answered None
+        scans = []
+        real_count = toric.inside_translate_count
+
+        def count(p, q):
+            scans.append((p, q))
+            return real_count(p, q)
+
+        monkeypatch.setattr(toric, "inside_translate_count", count)
+        outcomes = dict.fromkeys(("containment", "bounded", "zero bound", "zero margin", "passing", "failing"), 0)
+        for p, q, inside in self._pairs(random.Random(2424)):
+            full = total_or_containment(transfer_check, p, q)
+            scans.clear()
+            fast = total_or_containment(toric._passing_margin, p, q)
+            bound = _bound_margin(p, q)
+            assert len(scans) == (bound > 0), (p, q)
+            if full == "containment":
+                assert fast == "containment", (p, q)
+                outcomes["containment"] += 1
+                continue
+            assert not inside, (p, q)
+            assert fast == (full.margin if full.holds else None), (p, q)
+            if bound <= 0:
+                assert full.margin <= 0, (p, q)
+                outcomes["bounded"] += 1
+            outcomes["zero bound"] += bound == 0
+            outcomes["zero margin"] += full.margin == 0 < bound
+            outcomes["passing" if full.holds else "failing"] += 1
+        assert min(outcomes.values()) >= 5 and outcomes["bounded"] >= 100, outcomes
+
+    def test_plans_count_the_mixed_area_once_per_emitted_step(self, monkeypatch):
+        # a failing candidate costs no #L(P + Q); each step the planners
+        # emit costs one, and a repeated step is served from the cache
+        calls = []
+        real_count = toric.minkowski_lattice_point_count
+
+        def count(p, q):
+            calls.append((p, q))
+            return real_count(p, q)
+
+        monkeypatch.setattr(toric, "minkowski_lattice_point_count", count)
+        runs = [
+            lambda: plan_transfer(veronese_triangle(9)),
+            lambda: plan_transfer(rectangle(5, 5)),
+            lambda: improved_ternary_bound(5)[0],
+        ]
+        for run_plan in runs:
+            toric.transfer_check.cache_clear()
+            toric._pipeline_step.cache_clear()
+            calls.clear()
+            plan = run_plan()
+            emitted = {(s.p, s.q) for s in plan.steps}
+            assert len(calls) == len(emitted) and set(calls) == emitted
 
 
 class TestClassicPipeline:
@@ -260,18 +350,15 @@ class TestPlanner:
         assert one == two
 
     def test_no_plan_keeps_partial_chain(self, monkeypatch):
-        # the squares chain 4 -> 3 -> 2 -> 1, with every check from the 2x2
-        # square made to fail: the error carries the two steps that passed
+        # the squares chain 4 -> 3 -> 2 -> 1, with every candidate from the
+        # 2x2 square made to fail: the error carries the two steps that passed
         full = plan_transfer(rectangle(4, 4), families=("squares",))
-        real_check = toric.transfer_check
+        real_margin = toric._passing_margin
 
-        def check(p, q):
-            v = real_check(p, q)
-            if p != rectangle(2, 2):
-                return v
-            return TransferVerdict(v.count_2Q, v.h, v.count_2Q + v.h, False, 0)
+        def margin(p, q):
+            return None if p == rectangle(2, 2) else real_margin(p, q)
 
-        monkeypatch.setattr(toric, "transfer_check", check)
+        monkeypatch.setattr(toric, "_passing_margin", margin)
         with pytest.raises(NoPlanError) as err:
             plan_transfer(rectangle(4, 4), families=("squares",))
         assert err.value.partial_steps == full.steps[:2]
