@@ -174,7 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("toric-plan", help="search a multi-step transfer plan")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--families", default="trapezoids,rectangles,prisms,veronese")
+    sp.add_argument(
+        "--families",
+        default=",".join(toric._FAMILIES[:4]),
+        help=f"comma-separated candidate families out of {', '.join(toric._FAMILIES)} (default: %(default)s)",
+    )
     common(sp, polygons=True)
     sp.set_defaults(func=_cmd_toric_plan)
 

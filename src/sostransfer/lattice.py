@@ -148,7 +148,9 @@ class LatticePolygon:
     # -- rigid motions ------------------------------------------------------
 
     def translate(self, m) -> "LatticePolygon":
-        m = LatticePoint(*m)
+        """P + m for an integer vector m; a float or bool coordinate is
+        refused, as in the constructor."""
+        m = _as_point(m)
         return LatticePolygon._from_canonical(tuple(p + m for p in self.vertices))
 
     def reflect(self) -> "LatticePolygon":

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
-from math import gcd, isqrt
+from functools import lru_cache
+from math import isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 from .lattice import (
+    DegeneratePolygonError,
     LatticePolygon,
     inside_translate_count,
     is_lawrence_prism,
@@ -384,8 +385,10 @@ def _infer_context(p: LatticePolygon) -> str:
     return "ternary"
 
 
-#: The candidate families that ``plan_transfer`` accepts.
-_FAMILIES = ("squares", "rectangles", "veronese", "trapezoids", "prisms", "exhaustive")
+#: The candidate families that ``plan_transfer`` accepts; the first four
+#: are its default.  ``exhaustive`` holds every polygon of ternary degree at
+#: most min(kmax, 6), so above degree 6 it is not exhaustive.
+_FAMILIES = ("trapezoids", "rectangles", "prisms", "veronese", "squares", "exhaustive")
 
 
 @lru_cache(maxsize=256)
@@ -471,7 +474,7 @@ def _greedy_step(cur: LatticePolygon, families: tuple[str, ...], ctx: str) -> Op
 
 def plan_transfer(
     p: LatticePolygon,
-    families: Sequence[str] = ("trapezoids", "rectangles", "prisms", "veronese"),
+    families: Sequence[str] = _FAMILIES[:4],
 ) -> TransferPlan:
     """Greedy chain search over parametric candidate families.
 
@@ -490,7 +493,8 @@ def plan_transfer(
         raise ToricTransferError("candidate families must be nonempty")
     for fam in families:
         if fam not in _FAMILIES:
-            raise ToricTransferError(f"unknown candidate family {fam!r}")
+            known = f"{', '.join(_FAMILIES)} (default {','.join(_FAMILIES[:4])})"
+            raise ToricTransferError(f"unknown candidate family {fam!r}: the families are {known}")
     ctx = _infer_context(p)
     return _descend(p, lambda cur: _greedy_step(cur, families, ctx), ctx)
 
@@ -498,32 +502,29 @@ def plan_transfer(
 # -- exhaustive enumeration of small convex polygons ---------------------------
 
 
-def _angular_sorted_primitive_dirs(k: int) -> list[tuple[int, int]]:
-    dirs = set()
-    for x in range(-k, k + 1):
-        for y in range(-k, k + 1):
-            if (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1:
-                dirs.add((x, y))
-
-    def cmp(a, b):
-        ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-        hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-        if ha != hb:
-            return ha - hb
-        cr = a[0] * b[1] - a[1] * b[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(dirs, key=cmp_to_key(cmp))
-
-
 def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:
     """All full-dimensional convex lattice polygons fitting (up to lattice
-    translation) inside the degree-k triangle, k <= 6.
+    translation) inside the degree-k triangle, k <= 6, each shifted to
+    min x = min y = 0 and sorted by canonical vertex list.  Nothing is
+    yielded for k < 1, and k > 6 is refused.  Each k is enumerated once per
+    process.
 
-    A canonical convex polygon is an angularly ordered chain of edge vectors
-    summing to zero; the chain is built depth-first over primitive directions
-    with positive lengths, pruning on the triangle-degree bound.  Each k is
-    enumerated once per process.
+    The polygons are the closure of kΔ under vertex removal, taken on sets
+    of lattice points: a state is the point set S of a polygon, shifted to
+    min x = min y = 0, and its children are the sets S \\ {v}, shifted
+    again, for the vertices v of its polygon.  A child whose hull is a
+    segment holds no full-dimensional polygon and is skipped.  A child seen
+    before is dropped before its hull is built: the search remembers each
+    point set as one bitmask over the (k + 1)² grid, an int and not a set.
+    The closure is exactly the set asked for:
+
+    1. A vertex v is an extreme point of conv(S), so conv(S \\ {v}) ∩ Z² =
+       S \\ {v}: every state is the full point set of its polygon.  No
+       lattice point is ever counted, and two states give one polygon
+       exactly when they are one set.
+    2. Every lattice polygon Q inside a lattice polygon P is reached from P.
+       If Q ≠ P, some vertex v of P lies outside Q, and Q still lies inside
+       conv(P ∩ Z² \\ {v}), which has fewer lattice points.
     """
     if k < 1:
         return
@@ -534,43 +535,22 @@ def iter_convex_subpolygons(k: int) -> Iterator[LatticePolygon]:
 
 @lru_cache(maxsize=6)
 def _convex_subpolygons(k: int) -> tuple[LatticePolygon, ...]:
-    dirs = _angular_sorted_primitive_dirs(k)
-    n = len(dirs)
-    seen: set[tuple] = set()
-
-    def fits(points: list[tuple[int, int]]) -> bool:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        return max(px + py for px, py in points) - min(xs) - min(ys) <= k
-
-    results: list[LatticePolygon] = []
-
-    def dfs(idx: int, pos: tuple[int, int], points: list[tuple[int, int]], used: int) -> None:
-        # Every chain reaching here passed ``fits``; closing it only shifts
-        # it into the first quadrant.
-        if used >= 3 and pos == (0, 0):
-            x0 = min(px for px, _ in points)
-            y0 = min(py for _, py in points)
-            poly = LatticePolygon([(px - x0, py - y0) for px, py in points])
-            if poly.vertices not in seen:
-                seen.add(poly.vertices)
-                results.append(poly)
-            # continue: longer chains may also close later with other dirs
-        if idx >= n:
-            return
-        for j in range(idx, n):
-            dx, dy = dirs[j]
-            length = 1
-            while True:
-                npos = (pos[0] + dx * length, pos[1] + dy * length)
-                npoints = points + [npos]
-                if not fits(npoints):
-                    break
-                dfs(j + 1, npos, npoints, used + 1)
-                length += 1
-
-    dfs(0, (0, 0), [(0, 0)], 0)
-    return tuple(results)
+    found, seen, stack = [], set(), [frozenset((x, y) for x in range(k + 1) for y in range(k + 1 - x))]
+    while stack:
+        points = stack.pop()
+        try:
+            poly = LatticePolygon(points)
+        except DegeneratePolygonError:
+            continue
+        found.append(poly)
+        for v in poly.vertices:
+            rest = points - {v}
+            x0, y0 = min(x for x, _ in rest), min(y for _, y in rest)
+            rest = frozenset((x - x0, y - y0) for x, y in rest)
+            if (key := sum(1 << (x * (k + 1) + y) for x, y in rest)) not in seen:
+                seen.add(key)
+                stack.append(rest)
+    return tuple(sorted(found, key=lambda q: q.vertices))
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -123,6 +123,24 @@ class TestToricPlan:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "'bogus'" in err
 
+    def test_unknown_family_error_names_every_family(self, capsys):
+        delta4 = '{"vertices":[[0,0],[4,0],[0,4]]}'
+        code, out, err = invoke(capsys, "toric-plan", "--p", delta4, "--families", "prisms,bogus")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: unknown candidate family 'bogus'")
+        for name in ("squares", "rectangles", "veronese", "trapezoids", "prisms", "exhaustive"):
+            assert name in err
+        assert "default trapezoids,rectangles,prisms,veronese" in err
+
+    def test_help_names_every_family(self, capsys):
+        code, out, _ = invoke(capsys, "toric-plan", "--help")
+        assert code == 0
+        out = " ".join(out.split())
+        for name in ("squares", "rectangles", "veronese", "trapezoids", "prisms", "exhaustive"):
+            assert name in out
+        assert "default: trapezoids,rectangles,prisms,veronese" in out
+
 
 class TestErrorLines:
     """Malformed input exits 1 with one ``error:`` line and nothing on stdout."""

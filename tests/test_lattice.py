@@ -85,6 +85,14 @@ class TestConvexHull:
         with pytest.raises(LatticeGeometryError):
             LatticePolygon([(0, 0), (0.5, 0)])
 
+    def test_translate_takes_integer_vectors_only(self):
+        tri = veronese_triangle(3)
+        for vector in ((0.5, 0), (True, 0), (0, False)):
+            with pytest.raises(LatticeGeometryError, match="non-integer coordinates"):
+                tri.translate(vector)
+        assert tri.translate((2, -1)) == LatticePolygon([(2, -1), (5, -1), (2, 2)])
+        assert tri.translate(LatticePoint(2, -1)).lattice_point_count == tri.lattice_point_count
+
     def test_collinear_input_is_refused(self):
         for verts in ([(0, 0), (1, 1), (3, 3)], [(3, 3), (0, 0), (2, 2), (0, 0)], [(0, 0), (3, 0)]):
             with pytest.raises(DegeneratePolygonError, match="a point or a segment"):

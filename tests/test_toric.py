@@ -502,7 +502,7 @@ class TestCaches:
 class TestSubpolygonEnumeration:
     def test_matches_brute_force(self):
         # oracle: hulls of all subsets of the small triangle's lattice points
-        for k in (2, 3):
+        for k in (2, 3, 4):
             tri = veronese_triangle(k)
             pts = list(lattice_points(tri))
             import itertools
@@ -518,17 +518,44 @@ class TestSubpolygonEnumeration:
             enumerated = {q.vertices for q in iter_convex_subpolygons(k)}
             assert enumerated == seen
 
-    def test_same_polygons_in_same_order(self):
-        # pins the order as well as the set: sha1 of the vertex lists, k = 1..4
+    @staticmethod
+    def vertex_lists_sha1(degrees, order=lambda polys: polys):
         digest = hashlib.sha1()
-        for k in range(1, 5):
-            for q in iter_convex_subpolygons(k):
+        for k in degrees:
+            for q in order(list(iter_convex_subpolygons(k))):
                 digest.update(repr([tuple(v) for v in q.vertices]).encode())
-        assert digest.hexdigest() == "503dc61e61cdbb2996c98a612facc7ef965b69f8"
+        return digest.hexdigest()
+
+    def test_same_polygons_in_same_order(self):
+        # pins the order as well as the set: the polygons come sorted by
+        # canonical vertex list; sha1 of the vertex lists, k = 1..4
+        assert self.vertex_lists_sha1(range(1, 5)) == "3715cba31788fa203254c7c5d7c130447ee1c95b"
+
+    def test_same_sets_as_the_edge_chain_search(self):
+        # counts and sha1 of the sorted vertex lists, k = 1..5, as the
+        # angular edge-chain search that the closure replaced gave them
+        assert [len(list(iter_convex_subpolygons(k))) for k in range(1, 6)] == [1, 21, 175, 1082, 5973]
+        digest = self.vertex_lists_sha1(range(1, 6), lambda polys: sorted(polys, key=lambda q: q.vertices))
+        assert digest == "1debcc6bdfb4e8505ccaa5959569cd5cbeb897a2"
+
+    def test_exhaustive_plans_are_pinned(self):
+        # sha1 of the compact plan JSON of kΔ, k = 3..5, with and without
+        # prisms; the edge-chain search gave the same plans
+        expected = {
+            3: ("7096162efa42871318f341b27e139aae0d791953", 2),
+            4: ("1a57246a441480d46f1b7045f46336480df6febc", 4),
+            5: ("a42a8f699e9827195da646d9c0e85eaa7b97b467", 6),
+        }
+        for families in (("exhaustive", "prisms"), ("exhaustive",)):
+            for k, (sha1, total) in expected.items():
+                doc = plan_to_json_dict(plan_transfer(veronese_triangle(k), families=families))
+                assert doc["total_degree"] == total
+                assert hashlib.sha1(json.dumps(doc, separators=(",", ":")).encode()).hexdigest() == sha1
 
     def test_degree_cap(self):
         with pytest.raises(ToricTransferError):
             list(iter_convex_subpolygons(7))
+        assert list(iter_convex_subpolygons(0)) == [] == list(iter_convex_subpolygons(-3))
 
 
 class TestPlanJson:
