@@ -10,7 +10,7 @@ Run:  python demos/del_pezzo_certificates.py
 """
 
 from sostransfer import surface_from_name, transfer_sequence
-from sostransfer.delpezzo import CATALOGUE_TABLE, conic_bundles_real
+from sostransfer.delpezzo import CATALOGUE_TABLE, conic_bundles_real, interval_kind
 
 print("=" * 72)
 print("The catalogue: 24 real structures of degree at least 3")
@@ -18,8 +18,7 @@ print("=" * 72)
 print(f"{'name':10s} {'degree':>6s} {'rho(R)':>7s} {'real (-1)s':>10s}  conic bundle image")
 for name, degree, rho, n_real in CATALOGUE_TABLE:
     s = surface_from_name(name)
-    bundles = conic_bundles_real(s)
-    image = bundles[0].kind if bundles else "-"
+    image = interval_kind(name) if conic_bundles_real(s) else "-"
     print(f"{name:10s} {degree:6d} {rho:7d} {n_real:10d}  {image}")
 print()
 

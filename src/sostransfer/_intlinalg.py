@@ -69,18 +69,6 @@ def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[Vec]:
     return [tuple(u) for u in ucols[rank:]]
 
 
-def solve_single_row(row: Sequence[int], target: int) -> Optional[Vec]:
-    """One integer solution of <row, x> = target, or None."""
-    n = len(row)
-    h, ucols, rank = _column_reduce([row], n)
-    if rank == 0:
-        return tuple([0] * n) if target == 0 else None
-    g = h[0][0]  # ± gcd of the row
-    if target % g != 0:
-        return None
-    return tuple(target // g * x for x in ucols[0])
-
-
 def solve_in_column_span(cols: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> list[Optional[Vec]]:
     """Integer y with sum_j y_j * cols[j] = v for each v in vs, for
     full-column-rank cols, from one column reduction.
@@ -174,13 +162,21 @@ def solve_quadratic_lattice(
     Requires the form to be negative definite on the orthogonal complement of
     K, which holds for the Picard lattices in play (signature (1, n-1) with
     K.K > 0); the solution set is then finite.
+
+    One column reduction of the row G.K, (G.K)·U = [g | 0], solves the
+    linear condition: G.K is nonzero because K.K > 0, so g = ±gcd(G.K), the
+    condition has an integer solution iff g divides kdot, and then the
+    solutions are x0 = (kdot / g)·U₀ plus the span of the kernel basis
+    U₁, ..., U_{n-1}.
     """
     n = len(kvec)
     gk = mat_vec(gram, kvec)
-    x0 = solve_single_row(gk, kdot)
-    if x0 is None:
+    h, ucols, _ = _column_reduce([gk], n)
+    g = h[0][0]
+    if kdot % g != 0:
         return []
-    bcols = kernel_basis([gk], n)
+    x0 = [kdot // g * x for x in ucols[0]]
+    bcols = ucols[1:]
     k = len(bcols)
     gx0 = mat_vec(gram, x0)
     c0 = sum(map(mul, x0, gx0))

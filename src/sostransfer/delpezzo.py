@@ -87,11 +87,18 @@ class SurfaceModel:
     the cone generators and the (-1)-curves, the classes of the ample step)
     is computed on first use and kept on the model, so it lives exactly as
     long as the model does.
+
+    ``_subtractions`` is the one table of (-1)-curves the walk reads, both to
+    strip a curve a divisor meets negatively and to choose the curve a
+    nef-not-ample divisor D is pulled back along: the first witness of least
+    length among those orthogonal to D.  That is the least real curve
+    orthogonal to D when there is one.  Otherwise it is the least disjoint
+    pair: D is real, so D.c = D.tau(c), and the first pair witness met sits
+    at the smaller member of its pair, as (c, tau(c)) with c < tau(c).
     """
 
     name: str
     degree: int
-    basis_labels: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     K: Divisor
     tau: tuple[tuple[int, ...], ...]
@@ -178,7 +185,7 @@ class SurfaceModel:
         elif self.degree == 8:
             curves = minus_one_curves(self)
             if curves:
-                c = conic_bundles_real(self)[0].cls
+                c = conic_bundles_real(self)[0]
                 nvec = _vec_add(c, curves[0])  # the hyperplane pullback
                 mvec = _vec_sub(minus_k, c)
             else:
@@ -193,7 +200,7 @@ class SurfaceModel:
                 bundles = conic_bundles_real(self)
                 if not bundles:
                     raise DelPezzoError(f"{self.name}: no real curve or conic bundle available")
-                c = min(b.cls for b in bundles)
+                c = min(bundles)
             nvec = _vec_sub(minus_k, c)
             mvec = nvec
         return c, nvec, mvec, is_nef(self, nvec), is_nef(self, mvec)
@@ -210,11 +217,10 @@ class SurfaceModel:
         return (row_c, row_k, row_m), pairings, meeting
 
     @cached_property
-    def _conic_bundles_real(self) -> tuple[ConicBundle, ...]:
-        kind = interval_kind(self.name)
-        return tuple(ConicBundle(b, kind) for b in conic_bundle_classes(self) if self.tau_image(b) == b)
+    def _conic_bundles_real(self) -> tuple[Divisor, ...]:
+        return tuple(b for b in conic_bundle_classes(self) if self.tau_image(b) == b)
 
-    @property
+    @cached_property
     def real_rank(self) -> int:
         return _fixed_rank(self.tau)
 
@@ -279,14 +285,13 @@ def _swap_pairs_tau(n: int, first_pair_index: int) -> tuple[tuple[int, ...], ...
 def _p2_model(a: int, two_b: int) -> SurfaceModel:
     r = a + two_b
     name = "P2" if r == 0 else f"P2({a},{two_b})"
-    labels = ("H",) + tuple(f"E{i}" for i in range(1, r + 1))
     gram = tuple(
         tuple((1 if i == j == 0 else (-1 if i == j else 0)) for j in range(r + 1))
         for i in range(r + 1)
     )
     k = (-3,) + (1,) * r
     tau = _swap_pairs_tau(r + 1, 1 + a)
-    return SurfaceModel(name, 9 - r, labels, gram, k, tau)
+    return SurfaceModel(name, 9 - r, gram, k, tau)
 
 
 def _quadric_gram(r: int) -> tuple[tuple[int, ...], ...]:
@@ -299,11 +304,10 @@ def _quadric_gram(r: int) -> tuple[tuple[int, ...], ...]:
 
 def _quadric_model(kind: str, two_b: int) -> SurfaceModel:
     name = kind if two_b == 0 else f"{kind}(0,{two_b})"
-    labels = ("L1", "L2") + tuple(f"E{i}" for i in range(1, two_b + 1))
     gram = _quadric_gram(two_b)
     k = (-2, -2) + (1,) * two_b
     tau = _swap_pairs_tau(two_b + 2, 0 if kind == "Q31" else 2)
-    return SurfaceModel(name, 8 - two_b, labels, gram, k, tau)
+    return SurfaceModel(name, 8 - two_b, gram, k, tau)
 
 
 def _de_jonquieres_model(extra_real_point: bool) -> SurfaceModel:
@@ -408,28 +412,31 @@ def real_negative_curves(
     return s._real_negative_curves
 
 
-_TWO_INTERVAL_SURFACES = frozenset({"D", "D(1,0)"})
-_ONE_INTERVAL_SURFACES = frozenset({"Q31(0,2)", "Q31(0,4)"})
+#: The real structure's two kinds, keyed by surface (the minimal-model
+#: family decides them): the image shape of the conic fibration on the real
+#: points, and the certificate shape.  Every other surface has the full line
+#: and plain sums of squares.
+_REAL_STRUCTURE_KINDS = {
+    "D": ("two_intervals", "modified_2_interval"),
+    "D(1,0)": ("two_intervals", "modified_2_interval"),
+    "Q31(0,2)": ("one_interval", "modified_1_interval"),
+    "Q31(0,4)": ("one_interval", "modified_1_interval"),
+}
+_PLAIN_KINDS = ("full_line", "sos")
 
 
 def interval_kind(name: str) -> str:
-    """Image shape of the conic fibration on the real points, keyed by the
-    surface's minimal-model family."""
-    if name in _TWO_INTERVAL_SURFACES:
-        return "two_intervals"
-    if name in _ONE_INTERVAL_SURFACES:
-        return "one_interval"
-    return "full_line"
+    """Image shape of the conic fibration on the real points."""
+    return _REAL_STRUCTURE_KINDS.get(name, _PLAIN_KINDS)[0]
 
 
-@dataclass(frozen=True)
-class ConicBundle:
-    cls: Divisor
-    kind: str
+def certificate_kind(name: str) -> str:
+    return _REAL_STRUCTURE_KINDS.get(name, _PLAIN_KINDS)[1]
 
 
-def conic_bundles_real(s: SurfaceModel) -> tuple[ConicBundle, ...]:
-    """Conjugation-fixed conic bundles, tagged with their interval kind."""
+def conic_bundles_real(s: SurfaceModel) -> tuple[Divisor, ...]:
+    """Conjugation-fixed conic bundle classes, sorted; their interval kind
+    is the surface's, ``interval_kind(s.name)``."""
     return s._conic_bundles_real
 
 
@@ -721,9 +728,9 @@ def contract_along(s: SurfaceModel, curves) -> Contraction:
     contracted classes (with the induced form, involution, and canonical
     class) and then identified, by an exact marked-lattice isomorphism, with
     the one catalogued model of the same degree, real Picard rank and number
-    of real (-1)-curves.  The contraction keeps the composite of the
-    projection onto the complement and that isomorphism as one integer
-    matrix.
+    of real (-1)-curves, all three read off the source (see ``_contract``).
+    The contraction keeps the composite of the projection onto the
+    complement and that isomorphism as one integer matrix.
     """
     if curves and isinstance(curves[0], int):
         curve_list = (tuple(curves),)
@@ -734,6 +741,17 @@ def contract_along(s: SurfaceModel, curves) -> Contraction:
 
 @lru_cache(maxsize=_CONTRACTION_CACHE_SIZE)
 def _contract(s: SurfaceModel, curve_list: tuple[Divisor, ...]) -> Contraction:
+    """``contract_along`` on a normalized curve list.
+
+    The target's catalogue row comes from the source's invariants.  The
+    curves are disjoint with c.c = K.c = -1, and K pushes forward to
+    K - sum_c c, whose square is K.K + #curves: the degree grows by one per
+    curve.  The curves span one real class (c, or c + tau(c) for a pair), so
+    the real rank drops by one.  The target's real (-1)-curves are the
+    source's orthogonal to the curves.  No two catalogue rows share all
+    three, and the marked isometry still checks form, K and tau against the
+    row, so a wrong row would yield no contraction.
+    """
     for c in curve_list:
         if s.intersect(c, c) != -1 or s.intersect(s.K, c) != -1:
             raise NotContractibleError(f"{c} is not a (-1)-class")
@@ -765,11 +783,8 @@ def _contract(s: SurfaceModel, curve_list: tuple[Divisor, ...]) -> Contraction:
     )
     k2 = mat_vec(proj, s.K)
     tau2 = mat_mul(mat_mul(proj, s.tau), tuple(zip(*basis)))
-    degree2 = sum(k2[i] * gram2[i][j] * k2[j] for i in range(k) for j in range(k))
-    # a marked isometry keeps the degree, the real rank and the real
-    # (-1)-curves, which are those of s orthogonal to the curves; no two
-    # catalogue rows share all three
-    rho2 = _fixed_rank(tau2)
+    degree2 = s.degree + len(curve_list)
+    rho2 = s.real_rank - 1
     reals, _ = real_negative_curves(s)
     n_reals2 = sum(1 for r in reals if all(s.intersect(r, c) == 0 for c in curve_list))
     for name, *invariants in CATALOGUE_TABLE:
@@ -808,22 +823,14 @@ class DelPezzoTransfer:
         return sum(1 for st in self.steps if st.kind in ("subtract_negative_curve", "ample_step"))
 
 
-def certificate_kind(name: str) -> str:
-    if name in _TWO_INTERVAL_SURFACES:
-        return "modified_2_interval"
-    if name in _ONE_INTERVAL_SURFACES:
-        return "modified_1_interval"
-    return "sos"
-
-
 def _conic_multiple(s: SurfaceModel, d: Divisor, pairing: int) -> Optional[tuple[Divisor, int]]:
     """The real conic bundle F and c > 0 with d = cF, given pairing = -K.d."""
     if pairing <= 0 or pairing % 2 != 0:
         return None
     c = pairing // 2
     for bundle in conic_bundles_real(s):
-        if tuple(c * x for x in bundle.cls) == d:
-            return bundle.cls, c
+        if tuple(c * x for x in bundle) == d:
+            return bundle, c
     return None
 
 
@@ -909,17 +916,12 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
                 steps.append(TransferStep("ample_step", surf.name, record["D"], (record["C"],), record, record["E"]))
             cur = steps[-1].result
         elif least >= 0:
-            reals, pairs = real_negative_curves(surf)
-            zero_reals = [c for c in reals if surf.intersect(cur, c) == 0]
-            if zero_reals:
-                spec = (min(zero_reals),)
-            else:
-                zero_pairs = [p for p in pairs if surf.intersect(cur, p[0]) == 0]
-                if not zero_pairs:
-                    raise DelPezzoError(
-                        f"{surf.name}: nef-not-ample divisor with no contractible curve"
-                    )
-                spec = min(zero_pairs)
+            # the least real curve orthogonal to cur, else the least pair
+            # (see SurfaceModel)
+            zero = [w for row, w in surf._subtractions if w is not None and _dot(row, cur) == 0]
+            spec = min(zero, key=len, default=None)
+            if spec is None:
+                raise DelPezzoError(f"{surf.name}: nef-not-ample divisor with no contractible curve")
             contraction = contract_along(surf, spec)
             nxt = contraction.push(cur)
             steps.append(
@@ -927,7 +929,7 @@ def transfer_sequence(s: SurfaceModel, d: Sequence[int]) -> DelPezzoTransfer:
                     "contract",
                     surf.name,
                     cur,
-                    witness=tuple(spec),
+                    witness=spec,
                     check={"target": contraction.target.name, "minus_K_dot": mk_pairing},
                     result=nxt,
                 )

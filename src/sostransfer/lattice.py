@@ -68,9 +68,12 @@ class LatticePoint(NamedTuple):
 
 
 def _as_point(p) -> LatticePoint:
-    x, y = p
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise LatticeGeometryError(f"a point must be an integer pair, got {reprlib.repr(p)}") from None
     if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
-        raise LatticeGeometryError(f"non-integer coordinates: {p!r}")
+        raise LatticeGeometryError(f"non-integer coordinates: {reprlib.repr(p)}")
     return LatticePoint(x, y)
 
 

@@ -379,10 +379,9 @@ def improved_ternary_bound(d: int) -> tuple[TransferPlan, int]:
 # -- generic planner -----------------------------------------------------------
 
 def _infer_context(p: LatticePolygon) -> str:
+    # a convex polygon inside its bounding box with the box's area is the box
     xmin, ymin, xmax, ymax = p.bounding_box
-    if p == rectangle(xmax - xmin, ymax - ymin).translate((xmin, ymin)):
-        return "biform"
-    return "ternary"
+    return "biform" if p.twice_area == 2 * (xmax - xmin) * (ymax - ymin) else "ternary"
 
 
 #: The candidate families that ``plan_transfer`` accepts; the first four

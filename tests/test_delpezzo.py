@@ -120,21 +120,30 @@ class TestIntersections:
 class TestConicBundles:
     def test_blowup_of_plane(self):
         s = surface_from_name("P2(1,0)")
-        bundles = conic_bundles_real(s)
-        assert [b.cls for b in bundles] == [(1, -1)]
-        assert bundles[0].kind == "full_line"
+        assert conic_bundles_real(s) == ((1, -1),)
+        assert interval_kind(s.name) == "full_line"
 
     def test_blown_up_sphere(self):
         s = surface_from_name("Q31(0,2)")
-        bundles = conic_bundles_real(s)
-        assert [b.cls for b in bundles] == [(1, 1, -1, -1)]
-        assert bundles[0].kind == "one_interval"
+        assert conic_bundles_real(s) == ((1, 1, -1, -1),)
+        assert interval_kind(s.name) == "one_interval"
 
     def test_disconnected_surface(self):
         s = surface_from_name("D")
-        bundles = conic_bundles_real(s)
-        assert {b.cls for b in bundles} == {(1, -1, 0, 0, 0, 0), (2, 0, -1, -1, -1, -1)}
-        assert all(b.kind == "two_intervals" for b in bundles)
+        assert conic_bundles_real(s) == ((1, -1, 0, 0, 0, 0), (2, 0, -1, -1, -1, -1))
+        assert interval_kind(s.name) == "two_intervals"
+
+    def test_interval_kind_decides_certificate_kind(self):
+        certificate = {"full_line": "sos", "one_interval": "modified_1_interval", "two_intervals": "modified_2_interval"}
+        kinds = {name: interval_kind(name) for name, *_ in CATALOGUE_TABLE}
+        assert {name: kind for name, kind in kinds.items() if kind != "full_line"} == {
+            "Q31(0,2)": "one_interval",
+            "Q31(0,4)": "one_interval",
+            "D": "two_intervals",
+            "D(1,0)": "two_intervals",
+        }
+        for name, kind in kinds.items():
+            assert certificate_kind(name) == certificate[kind]
 
     def test_no_real_bundles_on_sphere_or_odd_blowup(self):
         assert conic_bundles_real(surface_from_name("Q31")) == ()

@@ -21,6 +21,7 @@ from conftest import (
     dense_is_ample,
     dense_is_nef,
     dense_tau_image,
+    fraction_rank,
     fraction_solve_in_column_span,
     plain_marked_isometry,
     random_effective_divisor,
@@ -130,6 +131,28 @@ class TestIsometryOracle:
                     assert con.push(b) == tuple(row[j] for row in expected)
                 searched += 1
         assert searched == 164  # every real curve and disjoint conjugate pair
+
+    def test_target_invariants_follow_from_the_source(self):
+        # _contract reads the target's catalogue row off the source: the
+        # degree grows by one per contracted curve and the real rank drops
+        # by one.  Both hold for the chosen target's table row and for the
+        # image lattice recomputed densely.
+        table = {name: (degree, rho) for name, degree, rho, _ in CATALOGUE_TABLE}
+        checked = 0
+        for s in catalogue():
+            reals, pairs = real_negative_curves(s)
+            for spec in reals + pairs:
+                con = contract_along(s, spec)
+                expected = (s.degree + len(con.contracted), s.real_rank - 1)
+                assert (con.target.degree, con.target.real_rank) == expected
+                assert table[con.target.name] == expected
+                gram2, k2, tau2 = _image_lattice(s, con)
+                k = len(k2)
+                degree2 = sum(k2[i] * gram2[i][j] * k2[j] for i in range(k) for j in range(k))
+                fixed = k - fraction_rank([[t - (i == j) for j, t in enumerate(row)] for i, row in enumerate(tau2)])
+                assert (degree2, fixed) == expected
+                checked += 1
+        assert checked == 164
 
     def test_one_row_searched_and_push_solves_nothing(self, monkeypatch):
         searched = []

@@ -19,7 +19,6 @@ from sostransfer._intlinalg import (
     kernel_basis,
     solve_in_column_span,
     solve_quadratic_lattice,
-    solve_single_row,
 )
 
 P2_GRAM_5 = tuple(
@@ -46,25 +45,6 @@ def test_kernel_basis_randomized():
                 assert solve_in_column_span(basis, [v]) != [None]
 
 
-def test_solve_single_row_randomized():
-    from math import gcd
-
-    rng = random.Random(43)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        row = tuple(rng.randint(-5, 5) for _ in range(n))
-        t = rng.randint(-10, 10)
-        x = solve_single_row(row, t)
-        g = 0
-        for c in row:
-            g = gcd(g, abs(c))
-        solvable = (t == 0) if g == 0 else (t % g == 0)
-        if solvable:
-            assert x is not None and sum(a * b for a, b in zip(row, x)) == t
-        else:
-            assert x is None
-
-
 def _brute_p2(square, kdot):
     out = set()
     for a in range(-5, 8):
@@ -89,6 +69,29 @@ def test_quadric_enumeration_matches_brute_force():
         assert set(solve_quadratic_lattice(P2_GRAM_5, P2_K_5, s, kd)) == _brute_p2(s, kd)
     for s, kd in ((-1, -1), (0, -2)):
         assert set(solve_quadratic_lattice(QUADRIC_GRAM, QUADRIC_K, s, kd)) == _brute_quadric(s, kd)
+
+
+def _brute_minimal_quadric(square, kdot):
+    out = set()
+    for x in itertools.product(range(-6, 7), repeat=2):
+        if 2 * x[0] * x[1] == square and -2 * x[0] - 2 * x[1] == kdot:
+            out.add(x)
+    return out
+
+
+def test_quadric_enumeration_when_gk_has_a_common_factor():
+    # G.K = (-2, -2) on Q22 and Q31 and (-3) on the plane, so a kdot that
+    # the gcd does not divide leaves the linear condition unsolvable
+    gram, k = ((0, 1), (1, 0)), (-2, -2)
+    for s, kd in ((-1, -1), (0, -1), (0, -3), (0, -2), (-1, -2), (0, -4), (2, -4), (-4, -2)):
+        assert set(solve_quadratic_lattice(gram, k, s, kd)) == _brute_minimal_quadric(s, kd)
+    assert solve_quadratic_lattice(gram, k, -1, -1) == []
+    assert solve_quadratic_lattice(gram, k, 0, -1) == []
+    assert solve_quadratic_lattice(gram, k, 0, -2) == [(0, 1), (1, 0)]  # the two conic classes
+    for s, kd in ((1, -3), (1, -1), (4, -6), (4, -5), (9, -9), (1, 3)):
+        assert solve_quadratic_lattice(((1,),), (-3,), s, kd) == [
+            (a,) for a in range(-5, 6) if a * a == s and -3 * a == kd
+        ]
 
 
 def test_known_counts():

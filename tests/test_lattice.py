@@ -93,6 +93,21 @@ class TestConvexHull:
         assert tri.translate((2, -1)) == LatticePolygon([(2, -1), (5, -1), (2, 2)])
         assert tri.translate(LatticePoint(2, -1)).lattice_point_count == tri.lattice_point_count
 
+    def test_a_point_must_be_a_pair(self):
+        tri = veronese_triangle(3)
+        cases = (
+            (lambda: tri.translate((1, 2, 3)), r"integer pair, got \(1, 2, 3\)"),
+            (lambda: tri.translate(5), "integer pair, got 5"),
+            (lambda: LatticePolygon([(1, 2, 3)]), r"integer pair, got \(1, 2, 3\)"),
+        )
+        for call, message in cases:
+            with pytest.raises(LatticeGeometryError, match=message):
+                call()
+        # the value is quoted briefly
+        with pytest.raises(LatticeGeometryError) as err:
+            tri.translate(tuple(range(1000)))
+        assert len(str(err.value)) < 100
+
     def test_collinear_input_is_refused(self):
         for verts in ([(0, 0), (1, 1), (3, 3)], [(3, 3), (0, 0), (2, 2), (0, 0)], [(0, 0), (3, 0)]):
             with pytest.raises(DegeneratePolygonError, match="a point or a segment"):

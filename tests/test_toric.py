@@ -323,6 +323,22 @@ class TestBiforms:
             assert first.holds and second.holds
 
 
+    @pytest.mark.parametrize(
+        "p, context",
+        [
+            (rectangle(1, 1), "biform"),
+            (rectangle(3, 2).translate((-4, 7)), "biform"),
+            (rectangle(1, 5).translate((2, -3)), "biform"),
+            (LatticePolygon([(1, 0), (3, 0), (3, 2), (0, 2), (0, 1)]), "ternary"),  # the 3 x 2 box minus a corner
+            (LatticePolygon([(0, 0), (2, 0), (3, 1), (1, 1)]), "ternary"),  # a parallelogram
+            (veronese_triangle(1), "ternary"),
+            (veronese_triangle(4).translate((5, 5)), "ternary"),
+        ],
+    )
+    def test_context_is_biform_exactly_for_boxes(self, p, context):
+        assert toric._infer_context(p) == context
+
+
 class TestPlanner:
     def test_squares_example(self):
         plan = plan_transfer(rectangle(2, 2), families=("squares",))
